@@ -1,14 +1,18 @@
 // Worldgen benchmark + memory guard: generation wall time per scale tier,
 // bytes/endpoint of the compact world representation, and the CenTrace
-// probe throughput on an instantiated world. Writes BENCH_world.json.
+// sweep and probe throughput on an instantiated world. Writes
+// BENCH_world.json.
 //
-// Two guards gate the exit code (this bench is the `perf`-labelled ctest
-// acceptance for ISSUE 8):
+// Three guards gate the exit code (this bench is the `perf`-labelled
+// ctest acceptance):
 //   - memory: the 1M-endpoint tier must stay under kBytesPerEndpointCeiling
 //     (the compact SoA backend is the whole point — a pointer-based world
 //     would be ~10x this);
 //   - determinism: regenerating the 1k tier from the same seed must
-//     reproduce the same world fingerprint.
+//     reproduce the same world fingerprint;
+//   - path search: a short trace fan-out on the instantiated 1M tier must
+//     run exactly one whole-graph BFS per source (the client), however
+//     many destinations it routes to. A count, not a time floor.
 //
 //   ./bench_worldgen [output.json]      (default BENCH_world.json)
 #include <chrono>
@@ -20,6 +24,7 @@
 
 #include "centrace/centrace.hpp"
 #include "core/json.hpp"
+#include "scenario/pipeline.hpp"
 #include "worldgen/generate.hpp"
 #include "worldgen/spec.hpp"
 
@@ -96,8 +101,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Probe throughput: CenTrace fan-out on the instantiated 1k world. ---
+  // --- Throughput: CenTrace fan-out on the instantiated 1k world. A sweep
+  // is one TTL ladder (control or test); a probe is one hop observation.
+  double sweeps_per_sec = 0.0;
   double probes_per_sec = 0.0;
+  std::size_t sweep_count = 0;
   std::size_t probe_count = 0;
   {
     const worldgen::World world =
@@ -116,12 +124,53 @@ int main(int argc, char** argv) {
       opts.control_domain = gen.control_domain;
       opts.trace = topts;
       const trace::CenTraceReport rep = trace::run(*gen.network, opts);
-      probe_count += rep.control_traces.size() + rep.test_traces.size();
+      sweep_count += rep.control_traces.size() + rep.test_traces.size();
+      for (const auto* sweeps : {&rep.control_traces, &rep.test_traces}) {
+        for (const trace::SingleTrace& sweep : *sweeps) probe_count += sweep.hops.size();
+      }
     }
-    const double wall_ms = ms_since(t0);
-    probes_per_sec = wall_ms <= 0.0 ? 0.0 : 1000.0 * static_cast<double>(probe_count) / wall_ms;
-    std::printf("trace fan-out: %zu traces, %zu probe sweeps, %.0f probes/sec\n",
-                kTraces, probe_count, probes_per_sec);
+    const double wall_s = ms_since(t0) / 1000.0;
+    if (wall_s > 0.0) {
+      sweeps_per_sec = static_cast<double>(sweep_count) / wall_s;
+      probes_per_sec = static_cast<double>(probe_count) / wall_s;
+    }
+    std::printf("trace fan-out: %zu traces, %zu sweeps (%.0f sweeps/sec), "
+                "%zu probes (%.0f probes/sec)\n",
+                kTraces, sweep_count, sweeps_per_sec, probe_count, probes_per_sec);
+  }
+
+  // --- Path-search guard: one BFS per source on the 1M tier. ---
+  std::uint64_t path_searches = 0;
+  std::uint64_t path_misses = 0;
+  {
+    const worldgen::World world =
+        worldgen::generate(*worldgen::WorldSpec::tier("1m"), kSeed);
+    worldgen::GeneratedScenario gen = worldgen::instantiate(world);
+    constexpr std::size_t kTargets = 8;
+    std::vector<net::Ipv4Address> targets;
+    for (std::size_t i = 0; i < kTargets; ++i) {
+      targets.push_back(gen.endpoints[i * (gen.endpoints.size() / kTargets)]);
+    }
+    trace::CenTraceOptions topts;
+    topts.repetitions = 1;
+    const auto t0 = std::chrono::steady_clock::now();
+    // threads = 0: every task runs on gen.network itself, so its topology
+    // counters are the whole fan-out's.
+    scenario::run_trace_fanout(*gen.network, gen.client, targets,
+                               {gen.http_test_domains.front()}, gen.control_domain,
+                               topts, /*threads=*/0);
+    const double fanout_ms = ms_since(t0);
+    const sim::Topology& topo = gen.network->topology();
+    path_searches = topo.path_searches();
+    path_misses = topo.path_cache_misses();
+    std::printf("1m path search: %zu traces in %.1f ms, %" PRIu64 " path-cache misses, "
+                "%" PRIu64 " BFS runs\n",
+                kTargets, fanout_ms, path_misses, path_searches);
+    if (path_searches != 1) {
+      std::printf("FAIL: %" PRIu64 " whole-graph searches for one source (want 1)\n",
+                  path_searches);
+      ok = false;
+    }
   }
 
   // --- BENCH_world.json. ---
@@ -146,8 +195,12 @@ int main(int argc, char** argv) {
     w.end_object();
   }
   w.end_array();
-  w.key("probe_sweeps").value(static_cast<std::uint64_t>(probe_count));
+  w.key("sweeps").value(static_cast<std::uint64_t>(sweep_count));
+  w.key("sweeps_per_sec").value(sweeps_per_sec);
+  w.key("probes").value(static_cast<std::uint64_t>(probe_count));
   w.key("probes_per_sec").value(probes_per_sec);
+  w.key("path_searches_1m").value(path_searches);
+  w.key("path_cache_misses_1m").value(path_misses);
   w.key("ok").value(ok);
   w.end_object();
   std::ofstream out(out_path);

@@ -508,6 +508,7 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
           .inc(p.batches.load(std::memory_order_relaxed));
       m.counter("pathcache.hits", obs::Domain::kWall).inc(exec->path_cache_hits());
       m.counter("pathcache.misses", obs::Domain::kWall).inc(exec->path_cache_misses());
+      m.counter("pathcache.searches", obs::Domain::kWall).inc(exec->path_searches());
     }
   }
 

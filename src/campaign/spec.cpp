@@ -250,6 +250,10 @@ std::optional<CampaignSpec> spec_from_json(std::string_view text, std::string* e
     spec.trace.max_ttl = tr->get_int("max_ttl", spec.trace.max_ttl);
     spec.trace.retries = tr->get_int("retries", spec.trace.retries);
     spec.trace.repetitions = tr->get_int("repetitions", spec.trace.repetitions);
+    if (spec.trace.repetitions < 1) {
+      fail(error, "trace.repetitions must be >= 1");
+      return std::nullopt;
+    }
     spec.trace.timeout_run_stop = tr->get_int("timeout_run_stop", spec.trace.timeout_run_stop);
     spec.trace.retry_backoff = static_cast<SimTime>(tr->get_number(
         "retry_backoff_ms", static_cast<double>(spec.trace.retry_backoff)));

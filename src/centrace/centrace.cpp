@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include "centrace/degrade.hpp"
 
@@ -82,7 +84,14 @@ std::string_view degradation_mode_name(DegradationMode m) {
 }
 
 CenTrace::CenTrace(sim::Network& network, sim::NodeId client, CenTraceOptions options)
-    : network_(network), client_(client), options_(options) {}
+    : network_(network), client_(client), options_(options) {
+  // Zero repetitions sends no probe, and a report that saw nothing would
+  // read "not blocked": reject it instead of emitting a silent verdict.
+  if (options_.repetitions < 1) {
+    throw std::invalid_argument("CenTrace: repetitions must be >= 1, got " +
+                                std::to_string(options_.repetitions));
+  }
+}
 
 std::string_view probe_protocol_name(ProbeProtocol p) {
   switch (p) {

@@ -246,6 +246,9 @@ struct CenTraceReport {
 
 class CenTrace {
  public:
+  /// Throws std::invalid_argument when `options.repetitions` < 1: a
+  /// measurement that sends no probe must not report "not blocked". Every
+  /// entry point (run(), the fan-outs, the pipeline) builds one per task.
   CenTrace(sim::Network& network, sim::NodeId client, CenTraceOptions options = {});
 
   /// Run a full CenTrace measurement: repeated Control sweeps, repeated
@@ -323,6 +326,8 @@ struct TraceRunOptions {
 /// Unified entry point (same shape as probe::run / fuzz::run): run one
 /// measurement on `network`, attaching `observer` for its duration (the
 /// previous observer is restored on return, exception-safe).
+/// Throws std::invalid_argument when `options.trace.repetitions` < 1 (see
+/// the CenTrace constructor).
 CenTraceReport run(sim::Network& network, const TraceRunOptions& options,
                    obs::Observer* observer = nullptr);
 

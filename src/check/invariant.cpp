@@ -12,16 +12,23 @@
 //   - fault counters for knobs a plan disables stay exactly zero (the
 //     fault layer's provable-inertness contract);
 //   - a same-seed replay of the whole sweep is byte-identical (the
-//     hermetic-epoch contract the parallel pipeline rests on).
+//     hermetic-epoch contract the parallel pipeline rests on);
+//   - path search answered from the per-source BFS memo equals a fresh
+//     per-pair search on a seeded random graph.
+#include <algorithm>
 #include <array>
 #include <memory>
+#include <set>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "check/engines.hpp"
 #include "core/bytes.hpp"
 #include "net/dns.hpp"
 #include "net/http.hpp"
 #include "net/packet.hpp"
+#include "netsim/compact.hpp"
 #include "netsim/engine.hpp"
 #include "netsim/faults.hpp"
 #include "obs/observer.hpp"
@@ -238,6 +245,101 @@ SweepOutcome run_sweep(CaseContext& ctx, scenario::CountryScenario& sc,
   return out;
 }
 
+/// Independent check of one per-pair answer: a fresh integer-distance
+/// BFS from src that also counts shortest paths (with link multiplicity,
+/// as the enumerator does). The answer must hold min(count, cap) sorted
+/// paths, each a src→dst walk over links of exactly the shortest length.
+bool shortest_paths_valid(const sim::Topology& t, sim::NodeId src, sim::NodeId dst,
+                          const std::vector<std::vector<sim::NodeId>>& paths) {
+  std::vector<int> dist(t.node_count(), -1);
+  std::vector<std::uint64_t> count(t.node_count(), 0);
+  std::vector<sim::NodeId> queue{src};
+  dist[src] = 0;
+  count[src] = 1;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const sim::NodeId u = queue[head];
+    for (sim::NodeId v : t.neighbors(u)) {
+      if (dist[v] == -1) {
+        dist[v] = dist[u] + 1;
+        queue.push_back(v);
+      }
+      if (dist[v] == dist[u] + 1) {
+        count[v] = std::min<std::uint64_t>(count[v] + count[u], sim::kMaxEcmpPaths);
+      }
+    }
+  }
+  if (paths.size() != count[dst] || !std::is_sorted(paths.begin(), paths.end())) return false;
+  for (const std::vector<sim::NodeId>& path : paths) {
+    if (path.size() != static_cast<std::size_t>(dist[dst]) + 1 || path.front() != src ||
+        path.back() != dst) {
+      return false;
+    }
+    for (std::size_t i = 1; i < path.size(); ++i) {
+      const std::span<const sim::NodeId> nbrs = t.neighbors(path[i - 1]);
+      if (std::find(nbrs.begin(), nbrs.end(), path[i]) == nbrs.end()) return false;
+    }
+  }
+  return true;
+}
+
+/// Path-search memo law: equal_cost_paths answered from the per-source
+/// BFS memo must equal a per-pair search — the same query on a copy of
+/// the never-searched graph, which runs one fresh BFS for exactly that
+/// pair — and that answer must pass shortest_paths_valid. Random
+/// connected core plus isolated nodes (unreachable destinations),
+/// queries interleaved across several sources, both backends; the
+/// graph's size scales with the mutation budget.
+void check_path_memo(CaseContext& ctx) {
+  Rng& rng = ctx.rng;
+  const std::size_t n = 8 + rng.index(24 + 8 * static_cast<std::size_t>(ctx.budget));
+  const std::size_t isolated = rng.index(3);
+  sim::Topology pristine;
+  sim::CompactTopologyBuilder cb;
+  for (std::size_t i = 0; i < n; ++i) {
+    const net::Ipv4Address ip(10, 3, static_cast<std::uint8_t>(i >> 8),
+                              static_cast<std::uint8_t>(i));
+    pristine.add_node("p" + std::to_string(i), ip);
+    cb.add_node("p" + std::to_string(i), ip);
+  }
+  const std::size_t core = n - isolated;
+  auto link = [&](std::size_t a, std::size_t b) {
+    pristine.add_link(static_cast<sim::NodeId>(a), static_cast<sim::NodeId>(b));
+    cb.add_link(static_cast<sim::NodeId>(a), static_cast<sim::NodeId>(b));
+  };
+  for (std::size_t i = 1; i < core; ++i) link(rng.index(i), i);
+  for (std::size_t c = rng.index(2 * n); c > 0; --c) {
+    const std::size_t a = rng.index(core);
+    const std::size_t b = rng.index(core);
+    if (a != b) link(a, b);
+  }
+  const sim::Topology memo_classic = pristine;
+  const sim::Topology memo_compact = sim::Topology::from_compact(cb.build());
+
+  std::vector<sim::NodeId> sources(1 + rng.index(3));
+  for (sim::NodeId& src : sources) src = static_cast<sim::NodeId>(rng.index(n));
+  bool same = true;
+  std::string where;
+  for (int q = 0; q < 48 && same; ++q) {
+    const sim::NodeId src = sources[rng.index(sources.size())];
+    const sim::NodeId dst = rng.chance(0.1) ? src : static_cast<sim::NodeId>(rng.index(n));
+    const sim::Topology cold = pristine;
+    const auto& expected = cold.equal_cost_paths(src, dst);
+    same = shortest_paths_valid(pristine, src, dst, expected) &&
+           memo_classic.equal_cost_paths(src, dst) == expected &&
+           memo_compact.equal_cost_paths(src, dst) == expected;
+    if (!same) where = std::to_string(src) + "->" + std::to_string(dst);
+  }
+  ctx.expect(same, "invariant/path-memo",
+             "memoized path search differs from a valid per-pair search at " + where);
+  const std::set<sim::NodeId> distinct(sources.begin(), sources.end());
+  ctx.expect(memo_classic.path_searches() <= distinct.size() &&
+                 memo_compact.path_searches() <= distinct.size(),
+             "invariant/path-memo",
+             "more than one BFS per source (" +
+                 std::to_string(memo_classic.path_searches()) + " for " +
+                 std::to_string(distinct.size()) + " sources)");
+}
+
 }  // namespace
 
 void run_invariant_case(CaseContext& ctx) {
@@ -336,6 +438,8 @@ void run_invariant_case(CaseContext& ctx) {
                "candidate link set changed under vantage permutation");
     ++ctx.checks;
   }
+
+  check_path_memo(ctx);
 }
 
 }  // namespace cen::check

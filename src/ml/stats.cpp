@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <math.h>  // lgamma_r
 
 namespace cen::ml {
 
@@ -93,10 +94,17 @@ double betacf(double a, double b, double x) {
   return h;
 }
 
+/// ln|Γ(v)| without std::lgamma's write to the global `signgam`, a data
+/// race when check workers compute statistics on several threads.
+double log_gamma(double v) {
+  int sign = 0;
+  return ::lgamma_r(v, &sign);
+}
+
 double incbeta(double a, double b, double x) {
   if (x <= 0.0) return 0.0;
   if (x >= 1.0) return 1.0;
-  double ln_beta = std::lgamma(a + b) - std::lgamma(a) - std::lgamma(b);
+  double ln_beta = log_gamma(a + b) - log_gamma(a) - log_gamma(b);
   double front = std::exp(ln_beta + a * std::log(x) + b * std::log(1.0 - x));
   if (x < (a + 1.0) / (a + b + 2.0)) return front * betacf(a, b, x) / a;
   return 1.0 - front * betacf(b, a, 1.0 - x) / b;  // symmetry relation

@@ -1,7 +1,6 @@
 #include "netsim/topology.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 
 #include "core/fingerprint.hpp"
@@ -29,10 +28,7 @@ NodeId Topology::add_node(std::string name, net::Ipv4Address ip, RouterProfile p
   nodes_.push_back(std::move(n));
   adjacency_.emplace_back();
   ip_index_.emplace(ip.value(), nodes_.back().id);
-  // Invalidate locally only: replicas sharing a frozen snapshot keep
-  // their own (still-valid-for-them) reference.
-  frozen_paths_.reset();
-  local_paths_.clear();
+  invalidate_paths();
   return nodes_.back().id;
 }
 
@@ -43,8 +39,15 @@ void Topology::add_link(NodeId a, NodeId b) {
   if (a >= nodes_.size() || b >= nodes_.size()) throw std::out_of_range("bad node id");
   adjacency_[a].push_back(b);
   adjacency_[b].push_back(a);
+  invalidate_paths();
+}
+
+void Topology::invalidate_paths() {
+  // Invalidate locally only: replicas sharing a frozen snapshot or a
+  // level table keep their own (still-valid-for-them) reference.
   frozen_paths_.reset();
   local_paths_.clear();
+  levels_.clear();
 }
 
 const Node& Topology::node(NodeId id) const {
@@ -108,6 +111,34 @@ void Topology::freeze_paths() const {
   local_paths_.clear();
 }
 
+const Topology::Levels& Topology::levels_from(NodeId src) const {
+  auto it = levels_.find(src);
+  if (it != levels_.end()) return *it->second;
+  ++path_searches_;
+  // Whole-graph BFS, one level at a time over two flat frontier vectors:
+  // transient memory is two levels, not a queue of every node.
+  auto levels = std::make_shared<Levels>(node_count(), kUnreached);
+  std::vector<NodeId> frontier{src};
+  std::vector<NodeId> next;
+  (*levels)[src] = 0;
+  for (std::uint8_t level = 1; !frontier.empty();
+       level = static_cast<std::uint8_t>((level + 1) % 3)) {
+    next.clear();
+    for (NodeId u : frontier) {
+      for (NodeId v : neighbors(u)) {
+        if ((*levels)[v] == kUnreached) {
+          (*levels)[v] = level;
+          next.push_back(v);
+        }
+      }
+    }
+    frontier.swap(next);
+  }
+  const Levels& ref = *levels;
+  levels_.emplace(src, std::move(levels));
+  return ref;
+}
+
 const std::vector<std::vector<NodeId>>& Topology::equal_cost_paths(NodeId src,
                                                                    NodeId dst) const {
   const PathKey key{src, dst};
@@ -125,25 +156,11 @@ const std::vector<std::vector<NodeId>>& Topology::equal_cost_paths(NodeId src,
   }
   ++path_cache_misses_;
 
-  // BFS from src recording distances, then enumerate all shortest paths by
-  // walking the BFS DAG from dst back to src.
-  std::vector<int> dist(node_count(), -1);
-  std::deque<NodeId> queue;
-  dist[src] = 0;
-  queue.push_back(src);
-  while (!queue.empty()) {
-    NodeId u = queue.front();
-    queue.pop_front();
-    for (NodeId v : neighbors(u)) {
-      if (dist[v] == -1) {
-        dist[v] = dist[u] + 1;
-        queue.push_back(v);
-      }
-    }
-  }
-
+  // Enumerate all shortest paths by walking src's BFS DAG from dst back
+  // to src.
+  const Levels& level = levels_from(src);
   std::vector<std::vector<NodeId>> paths;
-  if (dist[dst] != -1) {
+  if (level[dst] != kUnreached) {
     // Iterative DFS over predecessors on shortest paths.
     std::vector<std::vector<NodeId>> stack;
     stack.push_back({dst});
@@ -156,10 +173,12 @@ const std::vector<std::vector<NodeId>>& Topology::equal_cost_paths(NodeId src,
         paths.push_back(std::move(full));
         continue;
       }
-      // Deterministic order: ascending neighbour id.
+      // Deterministic order: ascending neighbour id. A predecessor is the
+      // neighbour one level closer to src.
+      const std::uint8_t pred_level = static_cast<std::uint8_t>((level[head] + 2) % 3);
       std::vector<NodeId> preds;
       for (NodeId v : neighbors(head)) {
-        if (dist[v] == dist[head] - 1) preds.push_back(v);
+        if (level[v] == pred_level) preds.push_back(v);
       }
       std::sort(preds.begin(), preds.end(), std::greater<NodeId>());
       for (NodeId v : preds) {

@@ -101,8 +101,14 @@ class Topology {
   std::span<const NodeId> neighbors(NodeId id) const;
 
   /// All shortest paths src→dst (inclusive of both), capped at
-  /// kMaxEcmpPaths, in a deterministic order. Cached; the cache is
-  /// invalidated by add_link/add_node.
+  /// kMaxEcmpPaths, in a deterministic order (sorted). Two memo layers:
+  ///   - the (src, dst) path lists (frozen snapshot + local additions);
+  ///   - one whole-graph BFS table per source. Every tool measures from
+  ///     one vantage toward many endpoints, so a path-cache miss only
+  ///     walks the shortest-path DAG back from dst against the source's
+  ///     table: one BFS per (replica, source), not per pair.
+  /// Both are invalidated by add_link/add_node on this instance only;
+  /// copies share the immutable tables by reference.
   const std::vector<std::vector<NodeId>>& equal_cost_paths(NodeId src, NodeId dst) const;
 
   /// Pick the path a given flow hash rides.
@@ -133,6 +139,8 @@ class Topology {
   /// snapshots).
   std::uint64_t path_cache_hits() const { return path_cache_hits_; }
   std::uint64_t path_cache_misses() const { return path_cache_misses_; }
+  /// Whole-graph BFS runs (per-source tables computed) on this instance.
+  std::uint64_t path_searches() const { return path_searches_; }
   /// Entries in the shared frozen snapshot (0 before the first freeze).
   std::size_t frozen_path_entries() const {
     return frozen_paths_ ? frozen_paths_->size() : 0;
@@ -145,6 +153,19 @@ class Topology {
   /// the flat map's backing vector grows, and so freezing/copying shares
   /// the (immutable) path lists instead of duplicating them.
   using PathMap = core::FlatMap<PathKey, std::shared_ptr<const EcmpPaths>>;
+  /// Per node, its BFS hop distance from one source modulo 3, or
+  /// kUnreached. Links are undirected, so a neighbour of a node at
+  /// distance d sits at d-1, d or d+1 — three values that stay distinct
+  /// mod 3. That is all the predecessor walk needs to test, at one byte a
+  /// node instead of four.
+  using Levels = std::vector<std::uint8_t>;
+  static constexpr std::uint8_t kUnreached = 0xff;
+  using LevelMap = core::FlatMap<NodeId, std::shared_ptr<const Levels>>;
+
+  /// The memoized level table from `src` (runs the BFS on a miss).
+  const Levels& levels_from(NodeId src) const;
+  /// Drop every path memo on this instance (after a topology edit).
+  void invalidate_paths();
 
   std::vector<Node> nodes_;
   std::vector<std::vector<NodeId>> adjacency_;
@@ -155,8 +176,12 @@ class Topology {
   mutable std::shared_ptr<const PathMap> frozen_paths_;
   /// Instance-local additions since the last freeze.
   mutable PathMap local_paths_;
+  /// Per-source level tables; few keys (the client plus any tomography
+  /// vantages), each node_count() bytes.
+  mutable LevelMap levels_;
   mutable std::uint64_t path_cache_hits_ = 0;
   mutable std::uint64_t path_cache_misses_ = 0;
+  mutable std::uint64_t path_searches_ = 0;
 };
 
 }  // namespace cen::sim

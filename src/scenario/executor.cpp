@@ -11,6 +11,14 @@ std::uint64_t now_ns() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+/// One topology counter summed over every replica.
+std::uint64_t sum_over(const std::vector<std::unique_ptr<sim::Network>>& replicas,
+                       std::uint64_t (sim::Topology::*counter)() const) {
+  std::uint64_t total = 0;
+  for (const auto& replica : replicas) total += (replica->topology().*counter)();
+  return total;
+}
 }  // namespace
 
 int resolve_threads(int requested) {
@@ -63,19 +71,15 @@ ParallelExecutor::ParallelExecutor(const sim::Network& prototype, int threads)
 }
 
 std::uint64_t ParallelExecutor::path_cache_hits() const {
-  std::uint64_t total = 0;
-  for (const auto& replica : replicas_) {
-    total += replica->topology().path_cache_hits();
-  }
-  return total;
+  return sum_over(replicas_, &sim::Topology::path_cache_hits);
 }
 
 std::uint64_t ParallelExecutor::path_cache_misses() const {
-  std::uint64_t total = 0;
-  for (const auto& replica : replicas_) {
-    total += replica->topology().path_cache_misses();
-  }
-  return total;
+  return sum_over(replicas_, &sim::Topology::path_cache_misses);
+}
+
+std::uint64_t ParallelExecutor::path_searches() const {
+  return sum_over(replicas_, &sim::Topology::path_searches);
 }
 
 void ParallelExecutor::run(const std::vector<std::uint64_t>& seeds,

@@ -101,6 +101,8 @@ class ParallelExecutor {
   /// (scheduling-dependent — wall-domain reporting only).
   std::uint64_t path_cache_hits() const;
   std::uint64_t path_cache_misses() const;
+  /// Whole-graph BFS runs over all replicas: one per (replica, source).
+  std::uint64_t path_searches() const;
 
   /// Run one hermetic task per seed: task i executes fn(replica, i) on a
   /// worker-private replica freshly reset_epoch(seeds[i]). fn must write

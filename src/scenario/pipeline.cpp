@@ -165,6 +165,8 @@ void export_exec_perf(obs::Observer& o, const ParallelExecutor& exec) {
       .set_max(static_cast<std::int64_t>(exec.path_cache_hits()));
   m.gauge("pathcache.misses", obs::Domain::kWall)
       .set_max(static_cast<std::int64_t>(exec.path_cache_misses()));
+  m.gauge("pathcache.searches", obs::Domain::kWall)
+      .set_max(static_cast<std::int64_t>(exec.path_searches()));
 }
 
 trace::CenTraceOptions trace_options(const PipelineOptions& options,

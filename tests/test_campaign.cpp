@@ -231,6 +231,11 @@ TEST(Campaign, SpecJsonRoundTrip) {
   EXPECT_FALSE(campaign::spec_from_json("{\"countries\":[\"XX\"]}", &error).has_value());
   EXPECT_NE(error.find("XX"), std::string::npos);
   EXPECT_FALSE(campaign::spec_from_json("{\"batch_size\":0}", &error).has_value());
+  EXPECT_FALSE(campaign::spec_from_json("{\"trace\":{\"repetitions\":0}}", &error)
+                   .has_value());
+  EXPECT_NE(error.find("repetitions"), std::string::npos);
+  EXPECT_TRUE(campaign::spec_from_json("{\"trace\":{\"repetitions\":1}}", &error)
+                  .has_value());
   EXPECT_FALSE(campaign::spec_from_json("not json", &error).has_value());
 }
 

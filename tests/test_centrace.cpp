@@ -434,6 +434,27 @@ TEST(CenTraceOptions, SingleRepetitionProducesValidReport) {
   EXPECT_EQ(r.confidence.ttl_agreement, 1.0);
 }
 
+TEST(CenTraceOptions, RunRejectsZeroRepetitions) {
+  // Zero repetitions would send no probe and read "not blocked" even in
+  // front of an RST injector: run() must refuse instead.
+  TraceNet tn;
+  censor::DeviceConfig cfg;
+  cfg.id = "rst";
+  cfg.action = censor::BlockAction::kRstInject;
+  tn.attach(cfg, 2);
+  TraceRunOptions opts;
+  opts.client = tn.client;
+  opts.endpoint = net::Ipv4Address(10, 0, 9, 1);
+  opts.test_domain = "www.blocked.example";
+  opts.control_domain = "www.example.org";
+  for (int reps : {0, -1}) {
+    opts.trace.repetitions = reps;
+    EXPECT_THROW(run(*tn.net, opts), std::invalid_argument) << reps;
+  }
+  opts.trace.repetitions = 1;
+  EXPECT_TRUE(run(*tn.net, opts).blocked);
+}
+
 TEST(CenTraceOptions, BackoffAdvancesSimulatedClockOnlyOnRetry) {
   // With total loss the probe retries through its whole budget; each retry
   // doubles the wait. A zero backoff (the default) must not advance the

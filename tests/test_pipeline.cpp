@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "scenario/pipeline.hpp"
 
@@ -27,6 +28,29 @@ TEST(Pipeline, MaxDomainsCapsPerProtocol) {
   std::set<std::string> domains;
   for (const auto& t : r.remote_traces) domains.insert(t.test_domain);
   EXPECT_EQ(domains.size(), 4u);
+}
+
+TEST(Pipeline, ZeroRepetitionsRejectedOnEveryPath) {
+  // No sweeps means no evidence: every path must refuse rather than
+  // report the endpoints "not blocked".
+  CountryScenario s = make_country(Country::kAZ, Scale::kSmall);
+  for (int threads : {0, 1, 2}) {
+    PipelineOptions o = fast();
+    o.centrace_repetitions = 0;
+    o.threads = threads;
+    o.max_endpoints = 1;
+    o.max_domains = 1;
+    EXPECT_THROW(run_country_pipeline(s, o), std::invalid_argument) << threads;
+  }
+  trace::CenTraceOptions t;
+  t.repetitions = 0;
+  for (int threads : {0, 2}) {
+    EXPECT_THROW(run_trace_fanout(*s.network, s.remote_client, {s.remote_endpoints.front()},
+                                  {s.http_test_domains.front()}, s.control_domain, t,
+                                  threads),
+                 std::invalid_argument)
+        << threads;
+  }
 }
 
 TEST(Pipeline, MaxEndpointsSamplesWithStride) {

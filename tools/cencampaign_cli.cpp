@@ -89,6 +89,10 @@ int main(int argc, char** argv) {
     return cli::kExitUsage;
   }
   spec.trace.repetitions = args.get_int("reps", spec.trace.repetitions);
+  if (spec.trace.repetitions < 1) {
+    std::fprintf(stderr, "--reps must be >= 1\n");
+    return cli::kExitUsage;
+  }
   if (args.has("tomography")) spec.trace_tomography = true;
   spec.trace_vantages = args.get_int("vantages", spec.trace_vantages);
   if (args.has("backoff")) spec.trace.retry_backoff = common.backoff;

@@ -26,6 +26,10 @@ int main(int argc, char** argv) {
 
   scenario::PipelineOptions o;
   o.centrace_repetitions = args.get_int("reps", 5);
+  if (o.centrace_repetitions < 1) {
+    std::fprintf(stderr, "--reps must be >= 1\n");
+    return cli::kExitUsage;
+  }
   o.fuzz_max_endpoints = args.get_int("fuzz-cap", 40);
   o.threads = common.threads;
   o.observer = obs_ptr;

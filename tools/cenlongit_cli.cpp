@@ -70,6 +70,10 @@ int main(int argc, char** argv) {
   spec.base.max_domains = args.get_int("max-domains", spec.base.max_domains);
   spec.base.fuzz_max_endpoints = args.get_int("fuzz-cap", spec.base.fuzz_max_endpoints);
   spec.base.trace.repetitions = args.get_int("reps", spec.base.trace.repetitions);
+  if (spec.base.trace.repetitions < 1) {
+    std::fprintf(stderr, "--reps must be >= 1\n");
+    return cli::kExitUsage;
+  }
   spec.base.batch_size = args.get_int("batch", spec.base.batch_size);
   if (spec.base.batch_size < 1) {
     std::fprintf(stderr, "--batch must be >= 1\n");

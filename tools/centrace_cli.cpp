@@ -86,6 +86,10 @@ int main(int argc, char** argv) {
 
   trace::CenTraceOptions opts;
   opts.repetitions = args.get_int("reps", 11);
+  if (opts.repetitions < 1) {
+    std::fprintf(stderr, "--reps must be >= 1\n");
+    return cli::kExitUsage;
+  }
   opts.protocol = cli::parse_protocol(args.get("protocol"));
   opts.apply(common.run);
 

@@ -115,7 +115,8 @@ inline int write_observability(const Args& args, const cen::obs::Observer& obs) 
 
 /// --perf-report [FILE]: metrics snapshot INCLUDING the wall-domain
 /// gauges the deterministic sinks exclude (perf.clone_ns / perf.reset_ns
-/// / perf.tasks / perf.batches, pathcache.hits / pathcache.misses,
+/// / perf.tasks / perf.batches, pathcache.hits / pathcache.misses /
+/// pathcache.searches,
 /// pool.workers / pool.busy_ns / pool.wall_ns). Host-clock and
 /// scheduling-dependent by design — never byte-stable across runs, so it
 /// lives in its own sink. Written to FILE, or stdout when the flag is
