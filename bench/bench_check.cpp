@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   check::CheckOptions options;
   options.iterations = 2000;
   options.seed = 1;
-  options.threads = 1;  // serial baseline
+  options.threads = 0;  // inline serial baseline
 
   check::CheckReport serial, parallel;
   const double serial_ms = run_ms(options, serial);

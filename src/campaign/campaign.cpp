@@ -23,15 +23,6 @@ namespace cen::campaign {
 
 namespace {
 
-// The pipeline's per-stage substream salts (scenario/pipeline.cpp). The
-// campaign derives its seeds with the same salts and identity keys, so a
-// campaign trace of (endpoint, domain, protocol) is the same measurement
-// the pipeline would have produced for that task.
-constexpr std::uint64_t kTraceStageSalt = 0x747261636531ULL;  // "trace1"
-constexpr std::uint64_t kProbeStageSalt = 0x70726f626532ULL;  // "probe2"
-constexpr std::uint64_t kFuzzStageSalt = 0x66757a7a33ULL;     // "fuzz3"
-constexpr std::uint64_t kAmbigStageSalt = 0x616d62696734ULL;  // "ambig4"
-
 /// Campaign-wide executed-batch budget (RunControl::max_batches).
 struct Budget {
   int max_batches = -1;
@@ -85,34 +76,16 @@ bool run_stage(sim::Network& net, const CampaignSpec& spec, const RunControl& co
     if (missing.empty()) continue;
     if (budget.exhausted()) return false;
 
-    if (control.threads == 0) {
-      // Inline hermetic path: the scenario network itself, reset to the
-      // task's epoch before each measurement — same substreams the pool
-      // replicas would use.
-      for (std::size_t i : missing) {
-        net.reset_epoch(seeds[i]);
-        docs[i] = execute(net, i);
-      }
-    } else {
-      if (exec == nullptr) {
-        exec = std::make_unique<scenario::ParallelExecutor>(net, control.threads);
-        if (control.exec_batch > 0) {
-          exec->set_batch(static_cast<std::size_t>(control.exec_batch));
-        }
-        if (control.observer != nullptr) exec->set_perf_tracking(true);
-      }
-      std::vector<std::uint64_t> sub_seeds;
-      sub_seeds.reserve(missing.size());
-      for (std::size_t i : missing) sub_seeds.push_back(seeds[i]);
-      std::vector<std::string> fresh(missing.size());
-      exec->run(sub_seeds, [&](sim::Network& replica, std::size_t j) {
-        fresh[j] = execute(replica, missing[j]);
-      });
-      for (std::size_t j = 0; j < missing.size(); ++j) {
-        docs[missing[j]] = std::move(fresh[j]);
-      }
+    if (exec == nullptr) {
+      exec = std::make_unique<scenario::ParallelExecutor>(net, control.threads);
+      if (control.observer != nullptr) exec->set_perf_tracking(true);
     }
-
+    std::vector<std::uint64_t> sub_seeds;
+    sub_seeds.reserve(missing.size());
+    for (std::size_t i : missing) sub_seeds.push_back(seeds[i]);
+    exec->run(sub_seeds, [&](sim::Network& worker, std::size_t j) {
+      docs[missing[j]] = execute(worker, missing[j]);
+    });
     for (std::size_t i : missing) {
       cache.put(tasks.cache_keys[i], stage, tasks.ids[i], docs[i]);
     }
@@ -313,7 +286,7 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
     std::vector<std::string> trace_docs;
     if (!run_stage(
             net, spec, control, cache, budget, result.trace, exec, "trace", trace_stage,
-            kTraceStageSalt,
+            scenario::kTraceStageSalt,
             [](std::string_view doc) { return report::trace_report_from_json(doc).has_value(); },
             [&](sim::Network& worker, std::size_t i) {
               const TraceTask& t = trace_tasks[i];
@@ -363,7 +336,7 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
     std::vector<std::string> probe_docs;
     if (!run_stage(
             net, spec, control, cache, budget, result.probe, exec, "probe", probe_stage,
-            kProbeStageSalt,
+            scenario::kProbeStageSalt,
             [](std::string_view doc) { return report::probe_report_from_json(doc).has_value(); },
             [&](sim::Network& worker, std::size_t i) {
               probe::DeviceProbeReport rep =
@@ -382,12 +355,8 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
 
     // ---- Stage 3: CenFuzz blocked endpoints (first blocked trace per
     // endpoint is the representative, as in the pipeline). ----
-    std::map<std::uint32_t, const trace::CenTraceReport*> blocked_by_endpoint;
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      if (traces[i].blocked) {
-        blocked_by_endpoint.emplace(trace_tasks[i].endpoint.value(), &traces[i]);
-      }
-    }
+    const std::map<std::uint32_t, const trace::CenTraceReport*> blocked_by_endpoint =
+        scenario::representative_blocked(traces);
     result.blocked_endpoints += blocked_by_endpoint.size();
 
     std::vector<std::uint32_t> blocked_eps;
@@ -410,7 +379,7 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
     std::vector<std::string> fuzz_docs;
     if (!run_stage(
             net, spec, control, cache, budget, result.fuzz, exec, "fuzz", fuzz_stage,
-            kFuzzStageSalt,
+            scenario::kFuzzStageSalt,
             [](std::string_view doc) { return report::fuzz_report_from_json(doc).has_value(); },
             [&](sim::Network& worker, std::size_t i) {
               const trace::CenTraceReport* rep = blocked_by_endpoint.at(fuzz_targets[i]);
@@ -454,7 +423,7 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
     std::vector<std::string> ambig_docs;
     if (!run_stage(
             net, spec, control, cache, budget, result.ambig, exec, "ambig", ambig_stage,
-            kAmbigStageSalt,
+            scenario::kAmbigStageSalt,
             [](std::string_view doc) { return report::ambig_report_from_json(doc).has_value(); },
             [&](sim::Network& worker, std::size_t i) {
               ambig::AmbigRunOptions ropts;
@@ -477,24 +446,11 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
     stage_span(observer, code, "ambig", ambig_stage.ids.size());
 
     // ---- Stage 4: bundle one measurement per blocked endpoint. ----
-    for (const auto& [ep, rep] : blocked_by_endpoint) {
-      ml::EndpointMeasurement m;
-      m.endpoint_id = net::Ipv4Address(ep).str();
-      m.country = code;
-      m.trace = *rep;
-      auto fz = fuzz_by_endpoint.find(ep);
-      if (fz != fuzz_by_endpoint.end()) m.fuzz = fz->second;
-      auto am = ambig_by_endpoint.find(ep);
-      if (am != ambig_by_endpoint.end()) m.ambig = am->second;
-      if (rep->blocking_hop_ip) {
-        auto pb = device_probes.find(rep->blocking_hop_ip->value());
-        if (pb != device_probes.end()) m.banner = pb->second;
-      }
-      result.measurements.push_back(std::move(m));
-    }
+    scenario::bundle(result.measurements, code, blocked_by_endpoint, device_probes,
+                     fuzz_by_endpoint, ambig_by_endpoint);
 
-    // Executor overhead + replica path-cache stats for this country's
-    // pool (if one was created) — wall domain, --perf-report only.
+    // Executor overhead + path-cache stats for this site's executor (if a
+    // stage executed anything) — wall domain, --perf-report only.
     if (observer != nullptr && exec != nullptr) {
       obs::Registry& m = observer->metrics();
       const scenario::ExecutorPerf& p = exec->perf();
@@ -551,7 +507,8 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
     m.counter("campaign.tasks_executed", obs::Domain::kWall).inc(result.tool_tasks_executed());
     m.counter("campaign.cache_hits", obs::Domain::kWall).inc(result.cache_hits());
     m.counter("campaign.batches_executed", obs::Domain::kWall)
-        .inc(result.trace.batches + result.probe.batches + result.fuzz.batches);
+        .inc(result.trace.batches + result.probe.batches + result.fuzz.batches +
+             result.ambig.batches);
   }
   return result;
 }

@@ -43,9 +43,6 @@ struct RunControl {
   /// reset_epoch to its task seed), >= 1 = a pool of that many workers.
   /// Results are byte-identical for every value.
   int threads = -1;
-  /// Executor dispatch-chunk size (batched epochs) for the pool path.
-  /// 0 = the executor default. Scheduling only — never results.
-  int exec_batch = 0;
   /// Result-cache / checkpoint JSONL path. Empty = in-memory only (no
   /// persistence; within-run dedup still applies).
   std::string cache_path;

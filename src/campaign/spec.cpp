@@ -250,15 +250,23 @@ std::optional<CampaignSpec> spec_from_json(std::string_view text, std::string* e
     spec.trace.max_ttl = tr->get_int("max_ttl", spec.trace.max_ttl);
     spec.trace.retries = tr->get_int("retries", spec.trace.retries);
     spec.trace.repetitions = tr->get_int("repetitions", spec.trace.repetitions);
-    if (spec.trace.repetitions < 1) {
-      fail(error, "trace.repetitions must be >= 1");
-      return std::nullopt;
-    }
     spec.trace.timeout_run_stop = tr->get_int("timeout_run_stop", spec.trace.timeout_run_stop);
     spec.trace.retry_backoff = static_cast<SimTime>(tr->get_number(
         "retry_backoff_ms", static_cast<double>(spec.trace.retry_backoff)));
     spec.trace.adaptive_max_retries =
         tr->get_int("adaptive_max_retries", spec.trace.adaptive_max_retries);
+    // The same bounds the CenTrace constructor enforces, reported as a
+    // spec error instead of a throw mid-campaign.
+    const char* bad = spec.trace.repetitions < 1 ? "trace.repetitions must be >= 1"
+                      : spec.trace.max_ttl < 1   ? "trace.max_ttl must be >= 1"
+                      : spec.trace.retries < 0   ? "trace.retries must be >= 0"
+                      : spec.trace.adaptive_max_retries < 0
+                          ? "trace.adaptive_max_retries must be >= 0"
+                          : nullptr;
+    if (bad != nullptr) {
+      fail(error, bad);
+      return std::nullopt;
+    }
     spec.trace.silent_channel_abort =
         tr->get_int("silent_channel_abort", spec.trace.silent_channel_abort);
     spec.trace_tomography = tr->get_bool("tomography", spec.trace_tomography);

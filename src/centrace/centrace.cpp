@@ -85,12 +85,18 @@ std::string_view degradation_mode_name(DegradationMode m) {
 
 CenTrace::CenTrace(sim::Network& network, sim::NodeId client, CenTraceOptions options)
     : network_(network), client_(client), options_(options) {
-  // Zero repetitions sends no probe, and a report that saw nothing would
-  // read "not blocked": reject it instead of emitting a silent verdict.
-  if (options_.repetitions < 1) {
-    throw std::invalid_argument("CenTrace: repetitions must be >= 1, got " +
-                                std::to_string(options_.repetitions));
-  }
+  // Zero repetitions or a zero TTL ceiling sends no probe, and a negative
+  // retry budget sends no UDP datagram; a report that saw nothing would
+  // read "not blocked": reject these instead of emitting a silent verdict.
+  auto require = [](bool ok, const char* what, int value) {
+    if (!ok) throw std::invalid_argument("CenTrace: " + std::string(what) + ", got " +
+                                         std::to_string(value));
+  };
+  require(options_.repetitions >= 1, "repetitions must be >= 1", options_.repetitions);
+  require(options_.max_ttl >= 1, "max_ttl must be >= 1", options_.max_ttl);
+  require(options_.retries >= 0, "retries must be >= 0", options_.retries);
+  require(options_.adaptive_max_retries >= 0, "adaptive_max_retries must be >= 0",
+          options_.adaptive_max_retries);
 }
 
 std::string_view probe_protocol_name(ProbeProtocol p) {

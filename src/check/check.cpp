@@ -153,8 +153,6 @@ CheckReport run_checks(const CheckOptions& options) {
 
   const std::vector<Engine>& engines =
       options.engines.empty() ? all_engines() : options.engines;
-  const int threads =
-      options.threads == 0 ? ThreadPool::hardware_threads() : options.threads;
 
   for (Engine engine : engines) {
     const std::uint64_t cases = engine_case_count(engine, options.iterations);
@@ -165,10 +163,11 @@ CheckReport run_checks(const CheckOptions& options) {
       const std::uint64_t case_seed = options.seed + index;
       results[index] = execute_case(engine, case_seed, options.mutation_budget);
     };
-    if (threads <= 1) {
+    if (options.threads == 0) {
       for (std::size_t i = 0; i < cases; ++i) one(0, i);
     } else {
-      ThreadPool pool(threads);
+      ThreadPool pool(options.threads < 0 ? ThreadPool::hardware_threads()
+                                          : options.threads);
       pool.parallel_for(cases, one);
     }
 

@@ -92,9 +92,10 @@ struct CheckOptions {
   /// engine_case_count) because their cases cost orders of magnitude more.
   std::uint64_t iterations = 1000;
   std::uint64_t seed = 1;
-  /// Worker threads: 0 = one per hardware thread. Forbidden from
-  /// influencing results — only wall time.
-  int threads = 1;
+  /// Worker threads: -1 = one per hardware thread, 0 = inline on the
+  /// calling thread, N = a pool of N. Forbidden from influencing results
+  /// — only wall time.
+  int threads = 0;
   /// Mutations applied per mutational sub-check (and the planted
   /// self-test threshold's ceiling).
   int mutation_budget = 8;

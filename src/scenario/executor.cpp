@@ -1,5 +1,6 @@
 #include "scenario/executor.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 namespace cen::scenario {
@@ -11,21 +12,7 @@ std::uint64_t now_ns() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-/// One topology counter summed over every replica.
-std::uint64_t sum_over(const std::vector<std::unique_ptr<sim::Network>>& replicas,
-                       std::uint64_t (sim::Topology::*counter)() const) {
-  std::uint64_t total = 0;
-  for (const auto& replica : replicas) total += (replica->topology().*counter)();
-  return total;
-}
 }  // namespace
-
-int resolve_threads(int requested) {
-  if (requested >= 1) return requested;
-  if (requested == 0) return 1;
-  return ThreadPool::hardware_threads();
-}
 
 std::uint64_t domain_hash(std::string_view domain) {
   std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
@@ -60,48 +47,93 @@ std::vector<std::uint64_t> derive_task_seeds(std::uint64_t network_seed,
   return seeds;
 }
 
-ParallelExecutor::ParallelExecutor(const sim::Network& prototype, int threads)
-    : pool_(resolve_threads(threads)) {
+ParallelExecutor::ParallelExecutor(sim::Network& prototype, int threads)
+    : prototype_(prototype) {
+  const sim::Topology& topo = prototype.topology();
+  base_hits_ = topo.path_cache_hits();
+  base_misses_ = topo.path_cache_misses();
+  base_searches_ = topo.path_searches();
+  const int workers = threads >= 0 ? threads : ThreadPool::hardware_threads();
+  if (workers == 0) return;  // inline: no pool, no replica
+  pool_ = std::make_unique<ThreadPool>(workers);
   const std::uint64_t t0 = now_ns();
-  replicas_.reserve(static_cast<std::size_t>(pool_.size()));
-  for (int i = 0; i < pool_.size(); ++i) {
-    replicas_.push_back(prototype.clone());
-  }
+  replicas_.reserve(static_cast<std::size_t>(workers));
+  for (int i = 0; i < workers; ++i) replicas_.push_back(prototype.clone());
   perf_.clone_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
 }
 
+void ParallelExecutor::set_stats(PoolStats* stats) {
+  stats_ = stats;
+  if (pool_) pool_->set_stats(stats);
+}
+
+std::uint64_t ParallelExecutor::sum_over(std::uint64_t (sim::Topology::*counter)() const,
+                                         std::uint64_t base) const {
+  if (!pool_) return (prototype_.topology().*counter)() - base;
+  std::uint64_t total = 0;
+  for (const auto& replica : replicas_) total += (replica->topology().*counter)() - base;
+  return total;
+}
+
 std::uint64_t ParallelExecutor::path_cache_hits() const {
-  return sum_over(replicas_, &sim::Topology::path_cache_hits);
+  return sum_over(&sim::Topology::path_cache_hits, base_hits_);
 }
 
 std::uint64_t ParallelExecutor::path_cache_misses() const {
-  return sum_over(replicas_, &sim::Topology::path_cache_misses);
+  return sum_over(&sim::Topology::path_cache_misses, base_misses_);
 }
 
 std::uint64_t ParallelExecutor::path_searches() const {
-  return sum_over(replicas_, &sim::Topology::path_searches);
+  return sum_over(&sim::Topology::path_searches, base_searches_);
+}
+
+void ParallelExecutor::run_batch(sim::Network& net, const std::vector<std::uint64_t>& seeds,
+                                 std::size_t begin, std::size_t end,
+                                 const std::function<void(sim::Network&, std::size_t)>& fn) {
+  for (std::size_t i = begin; i < end; ++i) {
+    if (perf_tracking_) {
+      const std::uint64_t t0 = now_ns();
+      net.reset_epoch(seeds[i]);
+      perf_.reset_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
+    } else {
+      net.reset_epoch(seeds[i]);
+    }
+    fn(net, i);
+  }
+  perf_.tasks.fetch_add(end - begin, std::memory_order_relaxed);
+  perf_.batches.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ParallelExecutor::run(const std::vector<std::uint64_t>& seeds,
                            const std::function<void(sim::Network&, std::size_t)>& fn) {
-  const bool track = perf_tracking_;
-  pool_.parallel_for_chunked(
-      seeds.size(), batch_,
-      [&](int worker, std::size_t begin, std::size_t end) {
-        sim::Network& replica = *replicas_[static_cast<std::size_t>(worker)];
-        for (std::size_t i = begin; i < end; ++i) {
-          if (track) {
-            const std::uint64_t t0 = now_ns();
-            replica.reset_epoch(seeds[i]);
-            perf_.reset_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
-          } else {
-            replica.reset_epoch(seeds[i]);
-          }
-          fn(replica, i);
-        }
-        perf_.tasks.fetch_add(end - begin, std::memory_order_relaxed);
-        perf_.batches.fetch_add(1, std::memory_order_relaxed);
-      });
+  if (pool_) {
+    pool_->parallel_for_chunked(
+        seeds.size(), kBatch, [&](int worker, std::size_t begin, std::size_t end) {
+          run_batch(*replicas_[static_cast<std::size_t>(worker)], seeds, begin, end, fn);
+        });
+    return;
+  }
+  const std::size_t n = seeds.size();
+  if (n == 0) return;
+  // The submission-side statistics the pool would publish for this job.
+  const std::uint64_t t0 = stats_ != nullptr ? now_ns() : 0;
+  if (stats_ != nullptr) {
+    stats_->jobs.fetch_add(1, std::memory_order_relaxed);
+    stats_->tasks.fetch_add(n, std::memory_order_relaxed);
+    if (n > stats_->peak_pending.load(std::memory_order_relaxed)) {
+      stats_->peak_pending.store(n, std::memory_order_relaxed);
+    }
+  }
+  sim::ScopedObserver restore(prototype_, nullptr);
+  prototype_.set_observer(nullptr);
+  for (std::size_t begin = 0; begin < n; begin += kBatch) {
+    run_batch(prototype_, seeds, begin, std::min(n, begin + kBatch), fn);
+  }
+  if (stats_ != nullptr) {
+    const std::uint64_t dt = now_ns() - t0;
+    stats_->busy_ns.fetch_add(dt, std::memory_order_relaxed);
+    stats_->wall_ns.fetch_add(dt, std::memory_order_relaxed);
+  }
 }
 
 }  // namespace cen::scenario

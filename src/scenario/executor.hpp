@@ -8,7 +8,8 @@
 // derived purely from the task's identity (via `Rng::fork()` substreams),
 // so the result is a function of the task alone. Scheduling order, thread
 // count and cursor interleaving can never leak into results, which is what
-// lets the golden tests assert byte-identical JSON for 1, 2, 4, ... threads.
+// lets the golden tests assert byte-identical JSON for 0 (inline), 1, 2, 4,
+// ... threads.
 #pragma once
 
 #include <cstdint>
@@ -22,11 +23,14 @@
 
 namespace cen::scenario {
 
-/// Resolve a PipelineOptions::threads value to a concrete worker count:
-/// -1 (or any negative) = one worker per hardware thread, >= 1 = exactly
-/// that many. 0 is the caller's serial-path sentinel and never reaches
-/// the executor; it resolves to 1 defensively.
-int resolve_threads(int requested);
+/// Stage salts separating the substream universes of the fan-outs. The
+/// pipeline and the campaign engine derive their task seeds with the same
+/// salts and identity keys, so a campaign trace of (endpoint, domain,
+/// protocol) is the same measurement the pipeline produces for that task.
+constexpr std::uint64_t kTraceStageSalt = 0x747261636531ULL;  // "trace1"
+constexpr std::uint64_t kProbeStageSalt = 0x70726f626532ULL;  // "probe2"
+constexpr std::uint64_t kFuzzStageSalt = 0x66757a7a33ULL;     // "fuzz3"
+constexpr std::uint64_t kAmbigStageSalt = 0x616d62696734ULL;  // "ambig4"
 
 /// Order-free identity hash of a hermetic task: FNV-1a over the domain
 /// mixed with the endpoint and a small stage/protocol tag. Deliberately
@@ -73,48 +77,64 @@ class ParallelExecutor {
   /// replica-pointer load per batch instead of per task. Purely a
   /// scheduling granularity — every task still gets its own hermetic
   /// sub-epoch (reset_epoch is a cheap RNG re-seed + dirty-state
-  /// rollback), so results are byte-identical for ANY batch size.
-  static constexpr std::size_t kDefaultBatch = 16;
+  /// rollback), so results are byte-identical for any batch size.
+  static constexpr std::size_t kBatch = 16;
 
-  /// Clone one replica of `prototype` per worker. The prototype is only
-  /// read during construction; afterwards workers touch only their own
-  /// replica.
-  ParallelExecutor(const sim::Network& prototype, int threads);
+  /// `threads`: -1 (or any negative) = one worker per hardware thread,
+  /// >= 1 = a pool of that many workers, each with its own clone of
+  /// `prototype` (only read during construction); 0 = inline: no pool and
+  /// no replica — every task runs on `prototype` itself on the calling
+  /// thread. Results are byte-identical for every value.
+  ParallelExecutor(sim::Network& prototype, int threads);
 
-  int threads() const { return pool_.size(); }
+  /// Pool workers (0 on the inline path).
+  int threads() const { return pool_ ? pool_->size() : 0; }
 
-  /// Attach (or detach with nullptr) a PoolStats sink on the underlying
-  /// pool. Must not be called while a run() is in flight.
-  void set_stats(PoolStats* stats) { pool_.set_stats(stats); }
-
-  /// Override the batch size (0 is clamped to 1). Affects scheduling
-  /// only, never results.
-  void set_batch(std::size_t batch) { batch_ = batch == 0 ? 1 : batch; }
-  std::size_t batch() const { return batch_; }
+  /// Attach (or detach with nullptr) a PoolStats sink. The inline path
+  /// fills jobs/tasks/peak_pending exactly as the pool does. Must not be
+  /// called while a run() is in flight.
+  void set_stats(PoolStats* stats);
 
   /// Enable per-task reset_epoch timing (disabled by default; the
   /// --perf-report path turns it on).
   void set_perf_tracking(bool enabled) { perf_tracking_ = enabled; }
   const ExecutorPerf& perf() const { return perf_; }
 
-  /// Aggregate ECMP path-cache statistics over all worker replicas
-  /// (scheduling-dependent — wall-domain reporting only).
+  /// Aggregate ECMP path-cache statistics over the networks tasks run on
+  /// since construction (the replicas, or the prototype inline;
+  /// scheduling-dependent — wall-domain reporting only).
   std::uint64_t path_cache_hits() const;
   std::uint64_t path_cache_misses() const;
-  /// Whole-graph BFS runs over all replicas: one per (replica, source).
+  /// Whole-graph BFS runs over those networks: one per (network, source).
   std::uint64_t path_searches() const;
 
-  /// Run one hermetic task per seed: task i executes fn(replica, i) on a
-  /// worker-private replica freshly reset_epoch(seeds[i]). fn must write
-  /// its result into a caller-owned per-index slot (no shared mutable
-  /// state). Blocks until every task completed.
+  /// Run one hermetic task per seed: task i executes fn(net, i) on a
+  /// network freshly reset_epoch(seeds[i]) — a worker-private replica, or
+  /// inline the prototype, whose observer is detached for the run and
+  /// restored afterwards. fn must write its result into a caller-owned
+  /// per-index slot (no shared mutable state). Blocks until every task
+  /// completed.
   void run(const std::vector<std::uint64_t>& seeds,
            const std::function<void(sim::Network&, std::size_t)>& fn);
 
  private:
-  ThreadPool pool_;
+  /// Tasks [begin, end) on `net`, in order.
+  void run_batch(sim::Network& net, const std::vector<std::uint64_t>& seeds,
+                 std::size_t begin, std::size_t end,
+                 const std::function<void(sim::Network&, std::size_t)>& fn);
+  /// `counter` summed over the networks tasks run on, each minus `base`,
+  /// its value on the prototype at construction (replicas copy it).
+  std::uint64_t sum_over(std::uint64_t (sim::Topology::*counter)() const,
+                         std::uint64_t base) const;
+
+  sim::Network& prototype_;
+  std::unique_ptr<ThreadPool> pool_;  // null on the inline path
   std::vector<std::unique_ptr<sim::Network>> replicas_;
-  std::size_t batch_ = kDefaultBatch;
+  // The prototype's path counters at construction.
+  std::uint64_t base_hits_ = 0;
+  std::uint64_t base_misses_ = 0;
+  std::uint64_t base_searches_ = 0;
+  PoolStats* stats_ = nullptr;
   bool perf_tracking_ = false;
   ExecutorPerf perf_;
 };

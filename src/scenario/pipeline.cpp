@@ -1,6 +1,7 @@
 #include "scenario/pipeline.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <set>
 
@@ -44,11 +45,6 @@ std::vector<std::size_t> stride_sample_indices(std::size_t n, int cap) {
 
 namespace {
 
-// Stage salts separating the substream universes of the three fan-outs.
-constexpr std::uint64_t kTraceStageSalt = 0x747261636531ULL;  // "trace1"
-constexpr std::uint64_t kProbeStageSalt = 0x70726f626532ULL;  // "probe2"
-constexpr std::uint64_t kFuzzStageSalt = 0x66757a7a33ULL;     // "fuzz3"
-
 std::vector<net::Ipv4Address> sample(const std::vector<net::Ipv4Address>& v, int cap) {
   std::vector<net::Ipv4Address> out;
   for (std::size_t idx : stride_sample_indices(v.size(), cap)) out.push_back(v[idx]);
@@ -72,102 +68,99 @@ struct PipelineInput {
   std::string country;
 };
 
-/// Per-task observability shards for one hermetic stage, merged into the
-/// pipeline-level observer in task-identity order. Each task records into
-/// a private Observer (attached to its replica for the task's duration),
-/// so no lock sits on any hot path; the merge then lays the per-task
-/// timelines end to end on one synthetic axis — task i's spans/journal
-/// entries are offset by the summed sim durations of tasks 0..i-1 and
-/// stamped with tid i. Everything about the merged state is a function of
-/// the task list alone, never of scheduling, which is what makes the
-/// exported snapshots byte-identical across worker counts.
+/// Runs hermetic stages on one executor and merges their per-task
+/// observability shards into the caller's observer in task-identity
+/// order. Each task records into a private Observer (attached to its
+/// network for the task's duration), so no lock sits on any hot path; the
+/// merge then lays the per-task timelines end to end on one synthetic
+/// axis — task i's spans/journal entries are offset by the summed sim
+/// durations of tasks 0..i-1 and stamped with tid i. Everything about the
+/// merged state is a function of the task list alone, never of
+/// scheduling, which is what makes the exported snapshots byte-identical
+/// across worker counts.
 class ShardMerger {
  public:
-  explicit ShardMerger(obs::Observer* sink) : sink_(sink) {}
-
-  bool enabled() const { return sink_ != nullptr; }
-
-  /// Allocate one shard per task of the upcoming stage. No-op when no
-  /// sink is attached (shard() then returns nullptr for every index).
-  void begin_stage(std::size_t n_tasks) {
-    shards_.clear();
-    ends_.assign(n_tasks, 0);
-    shards_.resize(n_tasks);
-    if (!enabled()) return;
-    for (auto& s : shards_) s = std::make_unique<obs::Observer>();
+  ShardMerger(ParallelExecutor& exec, obs::Observer* sink) : exec_(exec), sink_(sink) {
+    if (sink_ == nullptr) return;
+    exec_.set_stats(&pool_stats_);
+    exec_.set_perf_tracking(true);
   }
+  ShardMerger(const ShardMerger&) = delete;
+  ShardMerger& operator=(const ShardMerger&) = delete;
+  ~ShardMerger() { exec_.set_stats(nullptr); }
 
-  obs::Observer* shard(std::size_t i) { return shards_[i].get(); }
-
-  /// Record the task-local sim clock at task completion (its duration,
-  /// since every hermetic task starts at sim time 0).
-  void record_end(std::size_t i, SimTime end) { ends_[i] = end; }
-
-  /// Merge the stage's shards in index order and wrap them in one
-  /// aggregate stage span named `stage_name`.
-  void merge_stage(const char* stage_name) {
-    if (!enabled()) return;
-    const SimTime stage_begin = offset_;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      sink_->merge_from(*shards_[i], next_tid_, offset_, ends_[i]);
-      ++next_tid_;
-      offset_ += ends_[i];
+  /// Run task i = fn(net, i) under seeds[i] with its shard attached, then
+  /// merge the shards in index order and wrap them in one aggregate stage
+  /// span named `stage_name`.
+  void run(const std::vector<std::uint64_t>& seeds, const char* stage_name,
+           const std::function<void(sim::Network&, std::size_t)>& fn) {
+    if (sink_ == nullptr) {
+      exec_.run(seeds, fn);
+      return;
     }
-    if (!shards_.empty()) {
+    std::vector<std::unique_ptr<obs::Observer>> shards(seeds.size());
+    for (auto& s : shards) s = std::make_unique<obs::Observer>();
+    // Each task's sim clock at completion: its duration, since every
+    // hermetic task starts at sim time 0.
+    std::vector<SimTime> ends(seeds.size(), 0);
+    exec_.run(seeds, [&](sim::Network& net, std::size_t i) {
+      net.set_observer(shards[i].get());
+      fn(net, i);
+      ends[i] = net.now();
+      net.set_observer(nullptr);
+    });
+    const SimTime stage_begin = offset_;
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      sink_->merge_from(*shards[i], next_tid_, offset_, ends[i]);
+      ++next_tid_;
+      offset_ += ends[i];
+    }
+    if (!shards.empty()) {
       sink_->tracer().complete(stage_name, "pipeline", stage_begin, offset_);
     }
-    shards_.clear();
-    ends_.clear();
+  }
+
+  /// Export the executor's pool scheduling statistics, overhead
+  /// accounting and aggregate ECMP path-cache statistics. The
+  /// submission-side numbers (jobs, tasks, peak pending) depend only on
+  /// the task lists and live in the sim domain — the inline path fills
+  /// them exactly as the pool does; worker count, host-clock timings and
+  /// cache statistics vary with the machine and thread count, so they are
+  /// wall-domain gauges, excluded from deterministic snapshots and
+  /// surfaced by `--perf-report`.
+  void export_stats() {
+    if (sink_ == nullptr) return;
+    obs::Registry& m = sink_->metrics();
+    auto wall = [&m](const char* name, std::uint64_t v) {
+      m.gauge(name, obs::Domain::kWall).set_max(static_cast<std::int64_t>(v));
+    };
+    auto load = [](const std::atomic<std::uint64_t>& a) {
+      return a.load(std::memory_order_relaxed);
+    };
+    m.counter("pool.jobs").inc(load(pool_stats_.jobs));
+    m.counter("pool.tasks").inc(load(pool_stats_.tasks));
+    m.gauge("pool.peak_pending")
+        .set_max(static_cast<std::int64_t>(load(pool_stats_.peak_pending)));
+    wall("pool.workers", static_cast<std::uint64_t>(exec_.threads()));
+    wall("pool.busy_ns", load(pool_stats_.busy_ns));
+    wall("pool.wall_ns", load(pool_stats_.wall_ns));
+    const ExecutorPerf& p = exec_.perf();
+    wall("perf.clone_ns", load(p.clone_ns));
+    wall("perf.reset_ns", load(p.reset_ns));
+    wall("perf.tasks", load(p.tasks));
+    wall("perf.batches", load(p.batches));
+    wall("pathcache.hits", exec_.path_cache_hits());
+    wall("pathcache.misses", exec_.path_cache_misses());
+    wall("pathcache.searches", exec_.path_searches());
   }
 
  private:
+  ParallelExecutor& exec_;
   obs::Observer* sink_;
-  std::vector<std::unique_ptr<obs::Observer>> shards_;
-  std::vector<SimTime> ends_;
+  PoolStats pool_stats_;
   std::uint32_t next_tid_ = 0;
   SimTime offset_ = 0;
 };
-
-/// Export pool scheduling statistics into the observer's registry. The
-/// submission-side numbers (jobs, tasks, peak pending) are deterministic
-/// and live in the sim domain; worker count and host-clock timings vary
-/// with the machine and thread count, so they are wall-domain gauges and
-/// excluded from deterministic snapshots.
-void export_pool_stats(obs::Observer& o, const PoolStats& ps, int workers) {
-  obs::Registry& m = o.metrics();
-  m.counter("pool.jobs").inc(ps.jobs.load(std::memory_order_relaxed));
-  m.counter("pool.tasks").inc(ps.tasks.load(std::memory_order_relaxed));
-  m.gauge("pool.peak_pending")
-      .set_max(static_cast<std::int64_t>(ps.peak_pending.load(std::memory_order_relaxed)));
-  m.gauge("pool.workers", obs::Domain::kWall).set_max(workers);
-  m.gauge("pool.busy_ns", obs::Domain::kWall)
-      .set_max(static_cast<std::int64_t>(ps.busy_ns.load(std::memory_order_relaxed)));
-  m.gauge("pool.wall_ns", obs::Domain::kWall)
-      .set_max(static_cast<std::int64_t>(ps.wall_ns.load(std::memory_order_relaxed)));
-}
-
-/// Export executor overhead accounting and the replicas' aggregate ECMP
-/// path-cache statistics. Everything here depends on scheduling and the
-/// host clock, so it is wall-domain only — excluded from deterministic
-/// snapshots, surfaced by `--perf-report`.
-void export_exec_perf(obs::Observer& o, const ParallelExecutor& exec) {
-  obs::Registry& m = o.metrics();
-  const ExecutorPerf& p = exec.perf();
-  m.gauge("perf.clone_ns", obs::Domain::kWall)
-      .set_max(static_cast<std::int64_t>(p.clone_ns.load(std::memory_order_relaxed)));
-  m.gauge("perf.reset_ns", obs::Domain::kWall)
-      .set_max(static_cast<std::int64_t>(p.reset_ns.load(std::memory_order_relaxed)));
-  m.gauge("perf.tasks", obs::Domain::kWall)
-      .set_max(static_cast<std::int64_t>(p.tasks.load(std::memory_order_relaxed)));
-  m.gauge("perf.batches", obs::Domain::kWall)
-      .set_max(static_cast<std::int64_t>(p.batches.load(std::memory_order_relaxed)));
-  m.gauge("pathcache.hits", obs::Domain::kWall)
-      .set_max(static_cast<std::int64_t>(exec.path_cache_hits()));
-  m.gauge("pathcache.misses", obs::Domain::kWall)
-      .set_max(static_cast<std::int64_t>(exec.path_cache_misses()));
-  m.gauge("pathcache.searches", obs::Domain::kWall)
-      .set_max(static_cast<std::int64_t>(exec.path_searches()));
-}
 
 trace::CenTraceOptions trace_options(const PipelineOptions& options,
                                      trace::ProbeProtocol protocol) {
@@ -179,176 +172,91 @@ trace::CenTraceOptions trace_options(const PipelineOptions& options,
   return o;
 }
 
-// ---- Stage 4: bundle (shared by the serial and hermetic paths). ----
-void bundle(PipelineResult& result, const std::string& country,
-            const std::map<std::uint32_t, const trace::CenTraceReport*>& blocked_by_endpoint,
-            const std::map<std::uint32_t, fuzz::CenFuzzReport>& fuzz_by_endpoint) {
-  for (const auto& [ep, rep] : blocked_by_endpoint) {
-    ml::EndpointMeasurement m;
-    m.endpoint_id = net::Ipv4Address(ep).str();
-    m.country = country;
-    m.trace = *rep;
-    auto fz = fuzz_by_endpoint.find(ep);
-    if (fz != fuzz_by_endpoint.end()) m.fuzz = fz->second;
-    if (rep->blocking_hop_ip) {
-      auto pb = result.device_probes.find(rep->blocking_hop_ip->value());
-      if (pb != result.device_probes.end()) m.banner = pb->second;
-    }
-    result.measurements.push_back(std::move(m));
+/// One CenTrace task of the pipeline's stage 1 or of a fan-out.
+struct TraceTask {
+  sim::NodeId client;
+  net::Ipv4Address endpoint;
+  const std::string* domain;
+  std::uint64_t dhash;  // domain_hash(*domain), computed once per domain
+  const trace::CenTraceOptions* opts;
+  bool incountry;
+};
+
+/// Append one task per (endpoint, domain) pair, endpoint-major. Each
+/// domain is hashed once up front: the fan-out is endpoints x domains, so
+/// re-hashing the string per task would cost O(E x D) FNV passes for O(D)
+/// distinct strings.
+void add_trace_tasks(std::vector<TraceTask>& tasks, sim::NodeId client,
+                     const std::vector<net::Ipv4Address>& endpoints,
+                     const std::vector<const std::vector<std::string>*>& domain_lists,
+                     const std::vector<const trace::CenTraceOptions*>& opts) {
+  std::vector<std::vector<std::uint64_t>> hashes;
+  for (const std::vector<std::string>* list : domain_lists) {
+    hashes.emplace_back();
+    hashes.back().reserve(list->size());
+    for (const std::string& d : *list) hashes.back().push_back(domain_hash(d));
   }
-}
-
-/// The historical single-network path (threads = 0): every measurement
-/// shares one network whose RNG/clock/port state flows through the whole
-/// campaign. Byte-for-byte the pre-parallel behaviour.
-PipelineResult run_serial(const PipelineInput& in, const PipelineOptions& options) {
-  PipelineResult result;
-  result.country = in.country;
-  sim::Network& net = *in.network;
-  net.set_fault_plan(options.faults);
-  if (options.transient_loss > 0.0) net.set_transient_loss(options.transient_loss);
-  // Single shared network: the observer rides the shared clock directly
-  // (no shards to merge). Restore whatever was attached before.
-  obs::Observer* prev_observer = net.observer();
-  if (options.observer != nullptr) net.set_observer(options.observer);
-
-  trace::CenTraceOptions http_opts = trace_options(options, trace::ProbeProtocol::kHttp);
-  trace::CenTraceOptions https_opts = trace_options(options, trace::ProbeProtocol::kHttps);
-
-  std::vector<std::string> http_domains = take(in.http_domains, options.max_domains);
-  std::vector<std::string> https_domains = take(in.https_domains, options.max_domains);
-
-  // ---- Stage 1a: remote CenTrace. ----
-  trace::CenTrace ct_http(net, in.remote_client, http_opts);
-  trace::CenTrace ct_https(net, in.remote_client, https_opts);
-  for (net::Ipv4Address endpoint : sample(in.remote_endpoints, options.max_endpoints)) {
-    for (const std::string& domain : http_domains) {
-      result.remote_traces.push_back(ct_http.measure(endpoint, domain, in.control_domain));
-    }
-    for (const std::string& domain : https_domains) {
-      result.remote_traces.push_back(ct_https.measure(endpoint, domain, in.control_domain));
-    }
-  }
-
-  // ---- Stage 1b: in-country CenTrace against the genuine servers. ----
-  if (in.incountry_client != sim::kInvalidNode && !in.foreign_endpoints.empty()) {
-    trace::CenTrace ic_http(net, in.incountry_client, http_opts);
-    trace::CenTrace ic_https(net, in.incountry_client, https_opts);
-    std::size_t idx = 0;
-    for (const std::string& domain : in.http_domains) {
-      if (idx >= in.foreign_endpoints.size()) break;
-      result.incountry_traces.push_back(
-          ic_http.measure(in.foreign_endpoints[idx++], domain, in.control_domain));
-    }
-    for (const std::string& domain : in.https_domains) {
-      if (idx >= in.foreign_endpoints.size()) break;
-      result.incountry_traces.push_back(
-          ic_https.measure(in.foreign_endpoints[idx++], domain, in.control_domain));
-    }
-  }
-
-  // ---- Representative blocked trace per endpoint. ----
-  std::map<std::uint32_t, const trace::CenTraceReport*> blocked_by_endpoint;
-  for (const trace::CenTraceReport& r : result.remote_traces) {
-    if (r.blocked) blocked_by_endpoint.emplace(r.endpoint.value(), &r);
-  }
-
-  // ---- Stage 2: CenProbe every distinct in-path blocking-hop IP. ----
-  if (options.run_banner) {
-    for (const trace::CenTraceReport& r : result.remote_traces) {
-      // Only in-path devices have a probeable IP (§5.1); on-path taps are
-      // invisible to the management plane.
-      if (!r.blocked || !r.blocking_hop_ip ||
-          r.placement == trace::DevicePlacement::kOnPath) {
-        continue;
+  for (net::Ipv4Address endpoint : endpoints) {
+    for (std::size_t l = 0; l < domain_lists.size(); ++l) {
+      const std::vector<std::string>& list = *domain_lists[l];
+      for (std::size_t d = 0; d < list.size(); ++d) {
+        tasks.push_back({client, endpoint, &list[d], hashes[l][d], opts[l], false});
       }
-      std::uint32_t key = r.blocking_hop_ip->value();
-      if (result.device_probes.count(key) != 0) continue;
-      result.device_probes.emplace(
-          key, probe::run(net, probe::ProbeRunOptions{*r.blocking_hop_ip}));
     }
   }
-
-  // ---- Stage 3: CenFuzz blocked endpoints (sampled under the cap). ----
-  std::vector<std::uint32_t> blocked_eps;
-  for (const auto& [ip, report] : blocked_by_endpoint) blocked_eps.push_back(ip);
-  std::vector<std::uint32_t> fuzz_targets;
-  for (std::size_t idx :
-       stride_sample_indices(blocked_eps.size(), options.fuzz_max_endpoints)) {
-    fuzz_targets.push_back(blocked_eps[idx]);
-  }
-  std::map<std::uint32_t, fuzz::CenFuzzReport> fuzz_by_endpoint;
-  if (options.run_fuzz) {
-    fuzz::CenFuzz fuzzer(net, in.remote_client);
-    for (std::uint32_t ep : fuzz_targets) {
-      const trace::CenTraceReport* rep = blocked_by_endpoint.at(ep);
-      fuzz_by_endpoint.emplace(
-          ep, fuzzer.run(net::Ipv4Address(ep), rep->test_domain, in.control_domain));
-    }
-  }
-
-  bundle(result, in.country, blocked_by_endpoint, fuzz_by_endpoint);
-  if (options.observer != nullptr) net.set_observer(prev_observer);
-  return result;
 }
 
-/// The hermetic parallel path (threads >= 1 or auto): every measurement
-/// runs on a worker-private replica reset to a task-derived epoch, so the
-/// merged result is identical for every worker count.
-PipelineResult run_hermetic(const PipelineInput& in, const PipelineOptions& options) {
+/// Stage 1 of the pipeline and the whole of a fan-out: one hermetic
+/// CenTrace measurement per task, seeded from its (endpoint, domain,
+/// protocol, vantage) identity. `plan` (optional) escalates unlocalized
+/// blocked verdicts to multi-vantage tomography.
+std::vector<trace::CenTraceReport> run_trace_tasks(ShardMerger& merger,
+                                                   std::uint64_t network_seed,
+                                                   const std::vector<TraceTask>& tasks,
+                                                   const std::string& control_domain,
+                                                   const trace::DegradationPlan* plan) {
+  std::vector<std::uint64_t> keys;
+  keys.reserve(tasks.size());
+  for (const TraceTask& t : tasks) {
+    const std::uint64_t tag =
+        static_cast<std::uint64_t>(t.opts->protocol) | (t.incountry ? 0x8u : 0x0u);
+    keys.push_back(task_key_hashed(t.endpoint.value(), t.dhash, tag));
+  }
+  std::vector<trace::CenTraceReport> reports(tasks.size());
+  merger.run(derive_task_seeds(network_seed, kTraceStageSalt, keys), "stage:centrace",
+             [&](sim::Network& net, std::size_t i) {
+               const TraceTask& t = tasks[i];
+               reports[i] = trace::measure_with_degradation(
+                   net, t.client, t.endpoint, *t.domain, control_domain, *t.opts, plan);
+             });
+  return reports;
+}
+
+/// Every measurement runs hermetically — on a worker-private replica, or
+/// inline on the scenario network — reset to a task-derived epoch, so the
+/// merged result is identical for every `threads` value.
+PipelineResult run(const PipelineInput& in, const PipelineOptions& options) {
   PipelineResult result;
   result.country = in.country;
   sim::Network& net = *in.network;
   // Install the plan on the prototype BEFORE cloning so replicas carry it.
   net.set_fault_plan(options.faults);
-  if (options.transient_loss > 0.0) net.set_transient_loss(options.transient_loss);
 
   ParallelExecutor exec(net, options.threads);
-  if (options.batch > 0) exec.set_batch(static_cast<std::size_t>(options.batch));
-  ShardMerger merger(options.observer);
-  PoolStats pool_stats;
-  if (options.observer != nullptr) {
-    exec.set_stats(&pool_stats);
-    exec.set_perf_tracking(true);
-  }
+  ShardMerger merger(exec, options.observer);
 
   const trace::CenTraceOptions http_opts =
       trace_options(options, trace::ProbeProtocol::kHttp);
   const trace::CenTraceOptions https_opts =
       trace_options(options, trace::ProbeProtocol::kHttps);
 
-  std::vector<std::string> http_domains = take(in.http_domains, options.max_domains);
-  std::vector<std::string> https_domains = take(in.https_domains, options.max_domains);
+  const std::vector<std::string> http_domains = take(in.http_domains, options.max_domains);
+  const std::vector<std::string> https_domains = take(in.https_domains, options.max_domains);
 
   // ---- Stage 1: remote + in-country CenTrace as one hermetic batch. ----
-  struct TraceTask {
-    sim::NodeId client;
-    net::Ipv4Address endpoint;
-    const std::string* domain;
-    std::uint64_t dhash;  // domain_hash(*domain), computed once per domain
-    const trace::CenTraceOptions* opts;
-    bool incountry;
-  };
-  // Hash each domain once up front: the remote fan-out is endpoints x
-  // domains, so re-hashing the string per task would cost O(E x D) FNV
-  // passes for O(D) distinct strings.
-  std::vector<std::uint64_t> http_hashes, https_hashes;
-  http_hashes.reserve(http_domains.size());
-  for (const std::string& d : http_domains) http_hashes.push_back(domain_hash(d));
-  https_hashes.reserve(https_domains.size());
-  for (const std::string& d : https_domains) https_hashes.push_back(domain_hash(d));
-
   std::vector<TraceTask> tasks;
-  for (net::Ipv4Address endpoint : sample(in.remote_endpoints, options.max_endpoints)) {
-    for (std::size_t d = 0; d < http_domains.size(); ++d) {
-      tasks.push_back({in.remote_client, endpoint, &http_domains[d], http_hashes[d],
-                       &http_opts, false});
-    }
-    for (std::size_t d = 0; d < https_domains.size(); ++d) {
-      tasks.push_back({in.remote_client, endpoint, &https_domains[d], https_hashes[d],
-                       &https_opts, false});
-    }
-  }
+  add_trace_tasks(tasks, in.remote_client, sample(in.remote_endpoints, options.max_endpoints),
+                  {&http_domains, &https_domains}, {&http_opts, &https_opts});
   const std::size_t n_remote = tasks.size();
   if (in.incountry_client != sim::kInvalidNode && !in.foreign_endpoints.empty()) {
     std::size_t idx = 0;
@@ -363,45 +271,23 @@ PipelineResult run_hermetic(const PipelineInput& in, const PipelineOptions& opti
                        domain_hash(domain), &https_opts, true});
     }
   }
-
-  std::vector<std::uint64_t> trace_keys;
-  trace_keys.reserve(tasks.size());
-  for (const TraceTask& t : tasks) {
-    std::uint64_t tag = static_cast<std::uint64_t>(t.opts->protocol) |
-                        (t.incountry ? 0x8u : 0x0u);
-    trace_keys.push_back(task_key_hashed(t.endpoint.value(), t.dhash, tag));
-  }
-  std::vector<trace::CenTraceReport> reports(tasks.size());
-  merger.begin_stage(tasks.size());
-  exec.run(derive_task_seeds(net.seed(), kTraceStageSalt, trace_keys),
-           [&](sim::Network& replica, std::size_t i) {
-             const TraceTask& t = tasks[i];
-             obs::Observer* shard = merger.shard(i);
-             if (shard != nullptr) replica.set_observer(shard);
-             trace::CenTrace ct(replica, t.client, *t.opts);
-             reports[i] = ct.measure(t.endpoint, *t.domain, in.control_domain);
-             if (shard != nullptr) {
-               merger.record_end(i, replica.now());
-               replica.set_observer(nullptr);
-             }
-           });
-  merger.merge_stage("stage:centrace");
+  std::vector<trace::CenTraceReport> reports =
+      run_trace_tasks(merger, net.seed(), tasks, in.control_domain, nullptr);
   for (std::size_t i = 0; i < reports.size(); ++i) {
     (i < n_remote ? result.remote_traces : result.incountry_traces)
         .push_back(std::move(reports[i]));
   }
 
-  // ---- Representative blocked trace per endpoint. ----
-  std::map<std::uint32_t, const trace::CenTraceReport*> blocked_by_endpoint;
-  for (const trace::CenTraceReport& r : result.remote_traces) {
-    if (r.blocked) blocked_by_endpoint.emplace(r.endpoint.value(), &r);
-  }
+  const std::map<std::uint32_t, const trace::CenTraceReport*> blocked =
+      representative_blocked(result.remote_traces);
 
   // ---- Stage 2: CenProbe every distinct in-path blocking-hop IP. ----
   if (options.run_banner) {
     std::vector<net::Ipv4Address> probe_ips;
     std::set<std::uint32_t> seen;
     for (const trace::CenTraceReport& r : result.remote_traces) {
+      // Only in-path devices have a probeable IP (§5.1); on-path taps are
+      // invisible to the management plane.
       if (!r.blocked || !r.blocking_hop_ip ||
           r.placement == trace::DevicePlacement::kOnPath) {
         continue;
@@ -416,28 +302,20 @@ PipelineResult run_hermetic(const PipelineInput& in, const PipelineOptions& opti
       probe_keys.push_back(task_key(ip.value(), {}, 0x10));
     }
     std::vector<probe::DeviceProbeReport> probes(probe_ips.size());
-    merger.begin_stage(probe_ips.size());
-    exec.run(derive_task_seeds(net.seed(), kProbeStageSalt, probe_keys),
-             [&](sim::Network& replica, std::size_t i) {
-               obs::Observer* shard = merger.shard(i);
-               if (shard != nullptr) replica.set_observer(shard);
-               probes[i] = probe::run(replica, probe::ProbeRunOptions{probe_ips[i]});
-               if (shard != nullptr) {
-                 merger.record_end(i, replica.now());
-                 replica.set_observer(nullptr);
-               }
-             });
-    merger.merge_stage("stage:cenprobe");
+    merger.run(derive_task_seeds(net.seed(), kProbeStageSalt, probe_keys), "stage:cenprobe",
+               [&](sim::Network& replica, std::size_t i) {
+                 probes[i] = probe::run(replica, probe::ProbeRunOptions{probe_ips[i]});
+               });
     for (std::size_t i = 0; i < probe_ips.size(); ++i) {
       result.device_probes.emplace(probe_ips[i].value(), std::move(probes[i]));
     }
   }
 
   // ---- Stage 3: CenFuzz blocked endpoints (sampled under the cap). ----
-  std::vector<std::uint32_t> blocked_eps;
-  for (const auto& [ip, report] : blocked_by_endpoint) blocked_eps.push_back(ip);
   std::map<std::uint32_t, fuzz::CenFuzzReport> fuzz_by_endpoint;
   if (options.run_fuzz) {
+    std::vector<std::uint32_t> blocked_eps;
+    for (const auto& [ip, report] : blocked) blocked_eps.push_back(ip);
     std::vector<std::uint32_t> fuzz_targets;
     for (std::size_t idx :
          stride_sample_indices(blocked_eps.size(), options.fuzz_max_endpoints)) {
@@ -446,44 +324,58 @@ PipelineResult run_hermetic(const PipelineInput& in, const PipelineOptions& opti
     std::vector<std::uint64_t> fuzz_keys;
     fuzz_keys.reserve(fuzz_targets.size());
     for (std::uint32_t ep : fuzz_targets) {
-      fuzz_keys.push_back(task_key(ep, blocked_by_endpoint.at(ep)->test_domain, 0x20));
+      fuzz_keys.push_back(task_key(ep, blocked.at(ep)->test_domain, 0x20));
     }
     std::vector<fuzz::CenFuzzReport> fuzzes(fuzz_targets.size());
-    merger.begin_stage(fuzz_targets.size());
-    exec.run(derive_task_seeds(net.seed(), kFuzzStageSalt, fuzz_keys),
-             [&](sim::Network& replica, std::size_t i) {
-               const trace::CenTraceReport* rep = blocked_by_endpoint.at(fuzz_targets[i]);
-               obs::Observer* shard = merger.shard(i);
-               if (shard != nullptr) replica.set_observer(shard);
-               fuzz::CenFuzz fuzzer(replica, in.remote_client);
-               fuzzes[i] = fuzzer.run(net::Ipv4Address(fuzz_targets[i]), rep->test_domain,
-                                      in.control_domain);
-               if (shard != nullptr) {
-                 merger.record_end(i, replica.now());
-                 replica.set_observer(nullptr);
-               }
-             });
-    merger.merge_stage("stage:cenfuzz");
+    merger.run(derive_task_seeds(net.seed(), kFuzzStageSalt, fuzz_keys), "stage:cenfuzz",
+               [&](sim::Network& replica, std::size_t i) {
+                 fuzz::CenFuzz fuzzer(replica, in.remote_client);
+                 fuzzes[i] = fuzzer.run(net::Ipv4Address(fuzz_targets[i]),
+                                        blocked.at(fuzz_targets[i])->test_domain,
+                                        in.control_domain);
+               });
     for (std::size_t i = 0; i < fuzz_targets.size(); ++i) {
       fuzz_by_endpoint.emplace(fuzz_targets[i], std::move(fuzzes[i]));
     }
   }
 
-  bundle(result, in.country, blocked_by_endpoint, fuzz_by_endpoint);
-  if (options.observer != nullptr) {
-    export_pool_stats(*options.observer, pool_stats, exec.threads());
-    export_exec_perf(*options.observer, exec);
-    exec.set_stats(nullptr);
-  }
+  bundle(result.measurements, in.country, blocked, result.device_probes, fuzz_by_endpoint);
+  merger.export_stats();
   return result;
 }
 
-PipelineResult run(const PipelineInput& in, const PipelineOptions& options) {
-  if (options.threads == 0) return run_serial(in, options);
-  return run_hermetic(in, options);
+}  // namespace
+
+std::map<std::uint32_t, const trace::CenTraceReport*> representative_blocked(
+    const std::vector<trace::CenTraceReport>& traces) {
+  std::map<std::uint32_t, const trace::CenTraceReport*> out;
+  for (const trace::CenTraceReport& r : traces) {
+    if (r.blocked) out.emplace(r.endpoint.value(), &r);
+  }
+  return out;
 }
 
-}  // namespace
+void bundle(std::vector<ml::EndpointMeasurement>& out, const std::string& country,
+            const std::map<std::uint32_t, const trace::CenTraceReport*>& blocked,
+            const std::map<std::uint32_t, probe::DeviceProbeReport>& device_probes,
+            const std::map<std::uint32_t, fuzz::CenFuzzReport>& fuzz_by_endpoint,
+            const std::map<std::uint32_t, ambig::AmbigReport>& ambig_by_endpoint) {
+  for (const auto& [ep, rep] : blocked) {
+    ml::EndpointMeasurement m;
+    m.endpoint_id = net::Ipv4Address(ep).str();
+    m.country = country;
+    m.trace = *rep;
+    auto fz = fuzz_by_endpoint.find(ep);
+    if (fz != fuzz_by_endpoint.end()) m.fuzz = fz->second;
+    auto am = ambig_by_endpoint.find(ep);
+    if (am != ambig_by_endpoint.end()) m.ambig = am->second;
+    if (rep->blocking_hop_ip) {
+      auto pb = device_probes.find(rep->blocking_hop_ip->value());
+      if (pb != device_probes.end()) m.banner = pb->second;
+    }
+    out.push_back(std::move(m));
+  }
+}
 
 PipelineResult run_country_pipeline(CountryScenario& scenario,
                                     const PipelineOptions& options) {
@@ -540,90 +432,17 @@ std::vector<trace::CenTraceReport> run_trace_fanout(
     const std::vector<net::Ipv4Address>& endpoints,
     const std::vector<std::string>& domains, const std::string& control_domain,
     const trace::CenTraceOptions& trace_opts, int threads, obs::Observer* observer,
-    const trace::DegradationPlan* plan, int batch) {
-  struct Task {
-    net::Ipv4Address endpoint;
-    const std::string* domain;
-    std::uint64_t dhash;
-  };
-  // One FNV pass per distinct domain, not per (endpoint, domain) pair.
-  std::vector<std::uint64_t> dhashes;
-  dhashes.reserve(domains.size());
-  for (const std::string& d : domains) dhashes.push_back(domain_hash(d));
-
-  std::vector<Task> tasks;
+    const trace::DegradationPlan* plan) {
+  // Same task identities as the pipeline's remote stage 1, so a fan-out of
+  // the same (endpoint, domain, protocol) set replays the same substreams.
+  std::vector<TraceTask> tasks;
   tasks.reserve(endpoints.size() * domains.size());
-  for (net::Ipv4Address endpoint : endpoints) {
-    for (std::size_t d = 0; d < domains.size(); ++d) {
-      tasks.push_back({endpoint, &domains[d], dhashes[d]});
-    }
-  }
-
-  // Same key/salt scheme as the pipeline's stage 1, so a fan-out of the
-  // same (endpoint, domain, protocol) set replays the same substreams.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(tasks.size());
-  for (const Task& t : tasks) {
-    keys.push_back(task_key_hashed(t.endpoint.value(), t.dhash,
-                                   static_cast<std::uint64_t>(trace_opts.protocol)));
-  }
-  const std::vector<std::uint64_t> seeds =
-      derive_task_seeds(net.seed(), kTraceStageSalt, keys);
-
-  std::vector<trace::CenTraceReport> reports(tasks.size());
-  ShardMerger merger(observer);
-  merger.begin_stage(tasks.size());
-  auto run_task = [&](sim::Network& replica, std::size_t i) {
-    obs::Observer* shard = merger.shard(i);
-    if (shard != nullptr) replica.set_observer(shard);
-    reports[i] = trace::measure_with_degradation(replica, client, tasks[i].endpoint,
-                                                 *tasks[i].domain, control_domain,
-                                                 trace_opts, plan);
-    if (shard != nullptr) {
-      merger.record_end(i, replica.now());
-      replica.set_observer(nullptr);
-    }
-  };
-
-  if (threads == 0) {
-    // Inline-hermetic: run every task on `net` itself, reset to the same
-    // task-derived epoch a pool replica would use. Identical results to
-    // the pool path by construction. The caller's observer attachment is
-    // saved around the loop (tasks record into their own shards).
-    obs::Observer* prev = net.observer();
-    net.set_observer(nullptr);
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      net.reset_epoch(seeds[i]);
-      run_task(net, i);
-    }
-    net.set_observer(prev);
-  } else {
-    ParallelExecutor exec(net, threads);
-    if (batch > 0) exec.set_batch(static_cast<std::size_t>(batch));
-    PoolStats pool_stats;
-    if (observer != nullptr) {
-      exec.set_stats(&pool_stats);
-      exec.set_perf_tracking(true);
-    }
-    exec.run(seeds, run_task);
-    if (observer != nullptr) {
-      // Deliberately NOT exported into sim-domain metrics here: the
-      // inline path (threads = 0) has no pool, and the identity contract
-      // across {0, 1, N} must hold for the default snapshot. Wall-domain
-      // gauges only.
-      obs::Registry& m = observer->metrics();
-      m.gauge("pool.workers", obs::Domain::kWall).set_max(exec.threads());
-      m.gauge("pool.busy_ns", obs::Domain::kWall)
-          .set_max(static_cast<std::int64_t>(
-              pool_stats.busy_ns.load(std::memory_order_relaxed)));
-      m.gauge("pool.wall_ns", obs::Domain::kWall)
-          .set_max(static_cast<std::int64_t>(
-              pool_stats.wall_ns.load(std::memory_order_relaxed)));
-      export_exec_perf(*observer, exec);
-      exec.set_stats(nullptr);
-    }
-  }
-  merger.merge_stage("stage:centrace");
+  add_trace_tasks(tasks, client, endpoints, {&domains}, {&trace_opts});
+  ParallelExecutor exec(net, threads);
+  ShardMerger merger(exec, observer);
+  std::vector<trace::CenTraceReport> reports =
+      run_trace_tasks(merger, net.seed(), tasks, control_domain, plan);
+  merger.export_stats();
   return reports;
 }
 

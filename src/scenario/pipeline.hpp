@@ -33,35 +33,25 @@ struct PipelineOptions {
   /// Cap the endpoints fuzzed (-1 = all blocked endpoints). Fuzzing is the
   /// most request-hungry stage; the cap samples evenly across devices.
   int fuzz_max_endpoints = -1;
-  double transient_loss = 0.0;
   /// Fault plan installed on the network before measuring (the default
-  /// plan is inert — identical to a fault-free run). A non-zero
-  /// `transient_loss` above overrides the plan's own field.
+  /// plan is inert — identical to a fault-free run).
   sim::FaultPlan faults;
   /// CenTrace backoff/adaptive-retry knobs for runs under faults.
   SimTime centrace_retry_backoff = 0;
   int centrace_adaptive_retries = 6;
-  /// Worker threads for the measurement stages.
-  ///   -1  one worker per hardware thread (default);
-  ///    0  the legacy serial path — a single shared network, byte-for-byte
-  ///       the historical pre-parallel behaviour;
-  ///   >=1 the hermetic parallel path with that many workers. Results are
-  ///       identical for EVERY value >= 1 (1 is the serial reference the
-  ///       golden tests compare against): each task runs on a replica
-  ///       reset to an epoch derived from the task identity alone, so
-  ///       scheduling cannot influence results.
+  /// Worker threads for the measurement stages: -1 = one per hardware
+  /// thread (default), 0 = inline (no pool: every task runs on the
+  /// scenario network itself), >= 1 = a pool of that many workers, each
+  /// on its own replica. Every task is hermetic — its network is reset to
+  /// an epoch derived from the task identity alone — so results are
+  /// byte-identical for every value.
   int threads = -1;
-  /// Tasks claimed per dispatch on the hermetic path (batched epochs).
-  /// 0 = the executor default (ParallelExecutor::kDefaultBatch). Purely a
-  /// scheduling knob — results are byte-identical for every batch size.
-  int batch = 0;
-  /// Observability sink (see src/obs/). On the hermetic path every task
-  /// records into a private per-task shard; shards are merged into this
-  /// observer in task-identity order, so the sim-domain metrics, spans
-  /// and journal are byte-identical for every worker count >= 1 — the
-  /// same contract the measurement results obey. The serial legacy path
-  /// (threads = 0) attaches the observer directly to the shared network.
-  /// nullptr disables all instrumentation (near-zero cost).
+  /// Observability sink (see src/obs/). Every task records into a private
+  /// per-task shard; shards are merged into this observer in task-identity
+  /// order, so the sim-domain metrics, spans and journal are
+  /// byte-identical for every `threads` value — the same contract the
+  /// measurement results obey. nullptr disables all instrumentation
+  /// (near-zero cost).
   obs::Observer* observer = nullptr;
 };
 
@@ -103,33 +93,37 @@ struct ConsistencyStats {
 ConsistencyStats localisation_consistency(const PipelineResult& result);
 
 /// CenTrace fan-out over every (endpoint × domain) pair with the same
-/// hermetic per-task seeding the pipeline's parallel path uses. Backs
+/// hermetic per-task seeding as the pipeline's stage 1. Backs
 /// `centrace_cli --threads`: the task seeds depend only on the task
 /// identity (endpoint, domain, protocol) and the network's construction
 /// seed, so the reports — and, when `observer` is non-null, the merged
 /// sim-domain metrics/spans/journal — are byte-identical for every
-/// `threads` value. `threads` semantics:
-///   0   inline-hermetic: each task runs on `net` itself after a
-///       reset_epoch() to its task seed (no pool, no replicas);
-///   >=1 hermetic pool with that many workers (replicas of `net`);
-///   -1  hermetic pool with one worker per hardware thread.
-/// Note threads = 0 here is NOT the pipeline's legacy shared-state serial
-/// path: fan-out tasks are independent by definition, so the inline path
-/// can afford full hermeticity and join the identity contract.
+/// `threads` value (-1 hardware, 0 inline on `net`, N pool of N).
 /// `plan` (optional) enables degradation-aware measurement: every task
 /// runs through trace::measure_with_degradation, escalating unlocalized
 /// blocked verdicts to multi-vantage tomography. The plan participates in
 /// each task's work (not its seed), so identity across `threads` holds
 /// for any fixed plan.
-/// `batch` sets the executor's chunked-dispatch size (0 = default);
-/// scheduling only, never results.
 std::vector<trace::CenTraceReport> run_trace_fanout(
     sim::Network& net, sim::NodeId client,
     const std::vector<net::Ipv4Address>& endpoints,
     const std::vector<std::string>& domains, const std::string& control_domain,
     const trace::CenTraceOptions& trace_options, int threads,
-    obs::Observer* observer = nullptr, const trace::DegradationPlan* plan = nullptr,
-    int batch = 0);
+    obs::Observer* observer = nullptr, const trace::DegradationPlan* plan = nullptr);
+
+/// The representative blocked trace per endpoint: the first blocked
+/// report for it in `traces` order. Keys are endpoint addresses.
+std::map<std::uint32_t, const trace::CenTraceReport*> representative_blocked(
+    const std::vector<trace::CenTraceReport>& traces);
+
+/// Stage 4: append one clustering row per blocked endpoint, in endpoint
+/// order — its representative blocked trace plus the fuzz, ambiguity and
+/// blocking-hop banner reports measured for it, where present.
+void bundle(std::vector<ml::EndpointMeasurement>& out, const std::string& country,
+            const std::map<std::uint32_t, const trace::CenTraceReport*>& blocked,
+            const std::map<std::uint32_t, probe::DeviceProbeReport>& device_probes,
+            const std::map<std::uint32_t, fuzz::CenFuzzReport>& fuzz_by_endpoint,
+            const std::map<std::uint32_t, ambig::AmbigReport>& ambig_by_endpoint = {});
 
 /// Indices of an even stride sample of `cap` items out of [0, n). Pure
 /// integer arithmetic — index i maps to (i*n)/cap — so the indices are

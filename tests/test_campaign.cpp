@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
@@ -231,12 +232,36 @@ TEST(Campaign, SpecJsonRoundTrip) {
   EXPECT_FALSE(campaign::spec_from_json("{\"countries\":[\"XX\"]}", &error).has_value());
   EXPECT_NE(error.find("XX"), std::string::npos);
   EXPECT_FALSE(campaign::spec_from_json("{\"batch_size\":0}", &error).has_value());
-  EXPECT_FALSE(campaign::spec_from_json("{\"trace\":{\"repetitions\":0}}", &error)
-                   .has_value());
-  EXPECT_NE(error.find("repetitions"), std::string::npos);
-  EXPECT_TRUE(campaign::spec_from_json("{\"trace\":{\"repetitions\":1}}", &error)
-                  .has_value());
+  // Trace bounds the CenTrace constructor enforces are spec errors: a
+  // max_ttl of 0 would report every trace "not blocked" with confidence
+  // 1, and a negative retry budget sends no UDP datagram at all.
+  const std::pair<const char*, int> lowest_legal[] = {
+      {"repetitions", 1}, {"max_ttl", 1}, {"retries", 0}, {"adaptive_max_retries", 0}};
+  for (const auto& [field, lowest] : lowest_legal) {
+    auto doc_with = [&](int v) {
+      return "{\"trace\":{\"" + std::string(field) + "\":" + std::to_string(v) + "}}";
+    };
+    EXPECT_FALSE(campaign::spec_from_json(doc_with(lowest - 1), &error).has_value()) << field;
+    EXPECT_NE(error.find(field), std::string::npos) << error;
+    EXPECT_TRUE(campaign::spec_from_json(doc_with(lowest), &error).has_value()) << error;
+  }
   EXPECT_FALSE(campaign::spec_from_json("not json", &error).has_value());
+}
+
+TEST(Campaign, BatchesExecutedCountsEveryStage) {
+  campaign::CampaignSpec spec = small_spec();
+  spec.stages.ambig = true;
+  spec.ambig_max_endpoints = 2;
+  spec.ambig.repetitions = 1;
+  obs::Observer observer;
+  campaign::RunControl control;
+  control.threads = 0;
+  control.observer = &observer;
+  const campaign::CampaignResult r = campaign::run(spec, control);
+  ASSERT_TRUE(r.complete);
+  ASSERT_GT(r.ambig.batches, 0u);
+  EXPECT_EQ(observer.metrics().counter_value("campaign.batches_executed"),
+            r.trace.batches + r.probe.batches + r.fuzz.batches + r.ambig.batches);
 }
 
 TEST(Campaign, CacheToleratesTornTail) {

@@ -455,6 +455,42 @@ TEST(CenTraceOptions, RunRejectsZeroRepetitions) {
   EXPECT_TRUE(run(*tn.net, opts).blocked);
 }
 
+TEST(CenTraceOptions, RejectsZeroMaxTtlAndNegativeRetryBudgets) {
+  // max_ttl 0 sends no probe and reads "not blocked"; a negative retry
+  // budget sends no UDP datagram at all. Every protocol must refuse both.
+  TraceNet tn;
+  censor::DeviceConfig cfg;
+  cfg.id = "rst";
+  cfg.action = censor::BlockAction::kRstInject;
+  tn.attach(cfg, 2);
+  TraceRunOptions opts;
+  opts.client = tn.client;
+  opts.endpoint = net::Ipv4Address(10, 0, 9, 1);
+  opts.test_domain = "www.blocked.example";
+  opts.control_domain = "www.example.org";
+  for (ProbeProtocol protocol : {ProbeProtocol::kHttp, ProbeProtocol::kDnsUdp}) {
+    for (int ttl : {0, -1}) {
+      TraceRunOptions o = opts;
+      o.trace.protocol = protocol;
+      o.trace.max_ttl = ttl;
+      EXPECT_THROW(run(*tn.net, o), std::invalid_argument) << "max_ttl " << ttl;
+    }
+    TraceRunOptions retries = opts;
+    retries.trace.protocol = protocol;
+    retries.trace.retries = -1;
+    EXPECT_THROW(run(*tn.net, retries), std::invalid_argument) << "retries -1";
+    TraceRunOptions adaptive = opts;
+    adaptive.trace.protocol = protocol;
+    adaptive.trace.adaptive_max_retries = -1;
+    EXPECT_THROW(run(*tn.net, adaptive), std::invalid_argument) << "adaptive -1";
+  }
+  // The smallest legal values still measure.
+  opts.trace.max_ttl = 1;
+  opts.trace.retries = 0;
+  opts.trace.adaptive_max_retries = 0;
+  EXPECT_NO_THROW(run(*tn.net, opts));
+}
+
 TEST(CenTraceOptions, BackoffAdvancesSimulatedClockOnlyOnRetry) {
   // With total loss the probe retries through its whole budget; each retry
   // doubles the wait. A zero backoff (the default) must not advance the

@@ -371,7 +371,7 @@ TEST(Observer, PipelineSnapshotsByteIdenticalAcrossThreadCounts) {
   const PipelineSnapshot ref = observed_pipeline(Country::kKZ, 1, false);
   EXPECT_TRUE(json_valid(ref.metrics_json));
   EXPECT_TRUE(json_valid(ref.trace_json));
-  for (int threads : {2, 4}) {
+  for (int threads : {0, 2, 4}) {
     PipelineSnapshot got = observed_pipeline(Country::kKZ, threads, false);
     EXPECT_EQ(ref.result_json, got.result_json) << threads << " threads";
     EXPECT_EQ(ref.metrics_json, got.metrics_json) << threads << " threads";
@@ -383,7 +383,7 @@ TEST(Observer, PipelineSnapshotsByteIdenticalUnderFaults) {
   const PipelineSnapshot ref = observed_pipeline(Country::kAZ, 1, true);
   // The fault plan actually fires (the snapshot is not vacuous).
   EXPECT_NE(ref.metrics_json.find("faults."), std::string::npos);
-  for (int threads : {2, 5}) {
+  for (int threads : {0, 2, 5}) {
     PipelineSnapshot got = observed_pipeline(Country::kAZ, threads, true);
     EXPECT_EQ(ref.result_json, got.result_json) << threads << " threads";
     EXPECT_EQ(ref.metrics_json, got.metrics_json) << threads << " threads";

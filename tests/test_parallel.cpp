@@ -213,18 +213,17 @@ std::string pipeline_json(Country country, const PipelineOptions& options) {
 TEST(ParallelPipeline, ByteIdenticalAcrossThreadCounts) {
   const std::string reference = pipeline_json(Country::kKZ, parallel_opts(1));
   EXPECT_FALSE(reference.empty());
-  for (int threads : {2, 4, 8}) {
+  // 0 runs every task inline on the scenario network; -1 sizes the pool
+  // to the hardware. Both ride the same hermetic path.
+  for (int threads : {0, 2, 4, 8, -1}) {
     EXPECT_EQ(reference, pipeline_json(Country::kKZ, parallel_opts(threads)))
         << "thread count " << threads << " changed the result";
   }
-  // Auto thread count (-1) rides the same hermetic path.
-  EXPECT_EQ(reference, pipeline_json(Country::kKZ, parallel_opts(-1)));
 }
 
 TEST(ParallelPipeline, ByteIdenticalUnderNonInertFaultPlan) {
   auto faulty = [](int threads) {
     PipelineOptions o = parallel_opts(threads);
-    o.transient_loss = 0.05;
     o.faults.transient_loss = 0.05;
     o.faults.default_link.duplicate = 0.02;
     o.faults.default_link.reorder = 0.02;
@@ -233,43 +232,21 @@ TEST(ParallelPipeline, ByteIdenticalUnderNonInertFaultPlan) {
     return o;
   };
   const std::string reference = pipeline_json(Country::kAZ, faulty(1));
-  for (int threads : {2, 5}) {
+  for (int threads : {0, 2, 5}) {
     EXPECT_EQ(reference, pipeline_json(Country::kAZ, faulty(threads)))
         << "thread count " << threads << " changed the faulty-run result";
   }
-}
-
-TEST(ParallelPipeline, SerialLegacyPathIsStableAndFlagged) {
-  // threads = 0 keeps the historical shared-network behaviour; it need not
-  // match the hermetic path, but it must be deterministic with itself.
-  PipelineOptions o = parallel_opts(0);
-  const std::string a = pipeline_json(Country::kBY, o);
-  const std::string b = pipeline_json(Country::kBY, o);
-  EXPECT_EQ(a, b);
 }
 
 TEST(ParallelPipeline, HermeticResultIsValidJson) {
   EXPECT_TRUE(json_valid(pipeline_json(Country::kKZ, parallel_opts(2))));
 }
 
-TEST(ParallelPipeline, BatchSizeNeverChangesResults) {
-  // Batched epochs are a dispatch-granularity knob only: every task still
-  // runs in its own hermetic sub-epoch, so any batch size must reproduce
-  // the single-task-dispatch reference byte for byte.
-  const std::string reference = pipeline_json(Country::kKZ, parallel_opts(1));
-  for (int batch : {1, 3, 16, 1000}) {
-    PipelineOptions o = parallel_opts(4);
-    o.batch = batch;
-    EXPECT_EQ(reference, pipeline_json(Country::kKZ, o))
-        << "batch size " << batch << " changed the result";
-  }
-}
-
-TEST(TraceFanout, ByteIdenticalAcrossThreadsAndBatches) {
+TEST(TraceFanout, ByteIdenticalAcrossThreads) {
   // The fan-out contract includes threads = 0 (inline-hermetic on the
   // prototype network itself — no pool, no replicas): every thread count
-  // and every batch size must produce the same reports.
-  auto fanout_json = [](int threads, int batch) {
+  // must produce the same reports.
+  auto fanout_json = [](int threads) {
     CountryScenario s = make_country(Country::kKZ, Scale::kSmall);
     std::vector<net::Ipv4Address> endpoints(
         s.remote_endpoints.begin(),
@@ -279,22 +256,17 @@ TEST(TraceFanout, ByteIdenticalAcrossThreadsAndBatches) {
         s.http_test_domains.begin() + std::min<std::size_t>(2, s.http_test_domains.size()));
     trace::CenTraceOptions opts;
     opts.repetitions = 3;
-    std::vector<trace::CenTraceReport> reports =
-        run_trace_fanout(*s.network, s.remote_client, endpoints, domains,
-                         s.control_domain, opts, threads, nullptr, nullptr, batch);
+    std::vector<trace::CenTraceReport> reports = run_trace_fanout(
+        *s.network, s.remote_client, endpoints, domains, s.control_domain, opts, threads);
     std::string out;
     for (const trace::CenTraceReport& r : reports) out += report::to_json(r);
     return out;
   };
-  const std::string reference = fanout_json(1, 0);
+  const std::string reference = fanout_json(1);
   EXPECT_FALSE(reference.empty());
   for (int threads : {0, 2, 8}) {
-    EXPECT_EQ(reference, fanout_json(threads, 0))
+    EXPECT_EQ(reference, fanout_json(threads))
         << "fan-out thread count " << threads << " changed the result";
-  }
-  for (int batch : {1, 4, 1000}) {
-    EXPECT_EQ(reference, fanout_json(2, batch))
-        << "fan-out batch size " << batch << " changed the result";
   }
 }
 

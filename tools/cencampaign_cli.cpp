@@ -102,7 +102,6 @@ int main(int argc, char** argv) {
   obs::Observer observer;
   campaign::RunControl control;
   control.threads = common.threads;
-  control.exec_batch = args.get_int("exec-batch", 0);
   control.cache_path = args.get("cache");
   control.max_batches = args.get_int("max-batches", -1);
   control.observer = cli::wants_observer(args) ? &observer : nullptr;

@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
         "  --all           run every engine (default when --engine is absent)\n"
         "  --iterations N  round-trip case count; other engines scale from it\n"
         "  --seed N        base case seed (failures replay from their own seed)\n"
-        "  --threads N     worker threads (0 = hardware); output-invariant\n"
+        "  --threads N     workers: -1 hardware, 0 inline (default), N pool;\n"
+        "                  output-invariant\n"
         "  --budget N      mutations per mutational sub-check\n"
         "  --no-minimize   skip shrinking failure budgets\n"
         "  --json          emit the JSON report instead of the summary\n"
@@ -51,9 +52,9 @@ int main(int argc, char** argv) {
   const long long iterations = args.get_int("iterations", 1000);
   const long long seed = args.get_int("seed", 1);
   const long long budget = args.get_int("budget", 8);
-  options.threads = static_cast<int>(args.get_int("threads", 1));
-  if (iterations < 1 || budget < 1 || options.threads < 0) {
-    std::fprintf(stderr, "--iterations and --budget must be >= 1, --threads >= 0\n");
+  options.threads = static_cast<int>(args.get_int("threads", 0));
+  if (iterations < 1 || budget < 1 || options.threads < -1) {
+    std::fprintf(stderr, "--iterations and --budget must be >= 1, --threads >= -1\n");
     return cli::kExitUsage;
   }
   options.iterations = static_cast<std::uint64_t>(iterations);

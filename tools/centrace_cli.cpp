@@ -3,7 +3,7 @@
 //   centrace --country KZ [--scale full|small] [--protocol http|https|dns]
 //            [--endpoint N] [--domain D] [--reps 11] [--json] [--sweeps]
 //            [--tomography] [--vantages N]
-//            [--pcap out.pcap] [--threads N] [--exec-batch N]
+//            [--pcap out.pcap] [--threads N]
 //            [--backoff MS] [--retries N]
 //            [--loss P] [--fault-loss P] [--fault-dup P] [--fault-reorder P]
 //            [--fault-icmp-rate R]
@@ -125,8 +125,7 @@ int main(int argc, char** argv) {
     // Hermetic fan-out: identical output for every --threads value.
     reports = scenario::run_trace_fanout(*s.network, s.remote_client, endpoints,
                                          domains, s.control_domain, opts,
-                                         common.threads, obs_ptr, plan_ptr,
-                                         args.get_int("exec-batch", 0));
+                                         common.threads, obs_ptr, plan_ptr);
   } else {
     // Legacy shared-network serial path.
     if (obs_ptr != nullptr) s.network->set_observer(obs_ptr);

@@ -191,10 +191,11 @@ inline cen::trace::ProbeProtocol parse_protocol(const std::string& proto) {
 /// cencampaign.
 struct CommonOptions {
   cen::scenario::Scale scale = cen::scenario::Scale::kFull;
-  /// --threads N: -1 = one worker per hardware thread; 0 = the tool's
-  /// serial (or inline-hermetic) path; >= 1 = pool of N. `has_threads`
-  /// records whether the flag was passed at all (centrace keeps its
-  /// legacy serial path when it wasn't).
+  /// --threads N: -1 = one worker per hardware thread; 0 = inline (no
+  /// pool, every task on the scenario network); >= 1 = pool of N. Output
+  /// is identical for every value. `has_threads` records whether the flag
+  /// was passed at all (centrace keeps its legacy serial path when it
+  /// wasn't).
   int threads = -1;
   bool has_threads = false;
   /// --retries N / --backoff MS: CenTrace adaptive-retry budget and
@@ -216,7 +217,7 @@ struct CommonOptions {
 inline constexpr const char* kCommonUsage =
     "common flags:\n"
     "  --scale full|small    scenario size (default full)\n"
-    "  --threads N           workers: -1 hardware, 0 serial, N pool\n"
+    "  --threads N           workers: -1 hardware, 0 inline, N pool\n"
     "  --retries N           adaptive retry budget under faults (default 6)\n"
     "  --backoff MS          simulated retry backoff (default 0)\n"
     "  --seed N              deterministic measurement-epoch seed\n"
@@ -233,6 +234,10 @@ inline CommonOptions parse_common(const Args& args) {
   o.has_threads = args.has("threads");
   o.threads = args.get_int("threads", -1);
   o.retries = args.get_int("retries", 6);
+  if (o.retries < 0) {
+    std::fprintf(stderr, "--retries must be >= 0\n");
+    std::exit(2);
+  }
   o.backoff = static_cast<cen::SimTime>(args.get_int("backoff", 0));
   // Only explicitly-passed flags reach the shared run options: an unset
   // field means "keep the tool's own default", so tools whose defaults
